@@ -11,6 +11,7 @@ from .cyclotomic import (
     ConductorMismatch,
     CyclotomicNumber,
     DivisionByZero,
+    InvariantViolation,
     NotASubfield,
     cyclotomic_polynomial,
     euler_phi,
@@ -40,6 +41,7 @@ from .groups import (
     element_order,
     generated_subgroup,
     is_normal,
+    powers,
 )
 from .reflections import (
     VERDICT_HOLDS,

@@ -1,6 +1,6 @@
 """Named families of finite symplectic matrix groups.
 
-Every builder returns a fully enumerated group whose order is asserted
+Every builder returns a fully enumerated group whose order is checked
 against the closed-form count for the family, so a catalog group that
 builds at all is known to be the group it claims to be.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, InvariantViolation
 from .groups import DEFAULT_MAX_ORDER, FiniteMatrixGroup, OrderBoundExceeded
 from .linalg import ExactMatrix, standard_symplectic_form
 from .reflections import VERDICT_HOLDS, VERDICT_OBSTRUCTED, double
@@ -22,6 +22,15 @@ Cyc = CyclotomicNumber
 
 class ParameterOutOfRange(ValueError):
     """A family parameter outside the supported range."""
+
+
+def _checked_order(group: FiniteMatrixGroup, expected: int) -> FiniteMatrixGroup:
+    if group.order != expected:
+        raise InvariantViolation(
+            "closure gave order %d, the family has order %d"
+            % (group.order, expected)
+        )
+    return group
 
 
 def _identity_rows(n):
@@ -52,8 +61,7 @@ def build_symmetric_on_squares(n: int) -> FiniteMatrixGroup:
     group = FiniteMatrixGroup.closure(
         dim, 1, standard_symplectic_form(dim), gens
     )
-    assert group.order == math.factorial(n)
-    return group
+    return _checked_order(group, math.factorial(n))
 
 
 _WEYL_FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
@@ -157,8 +165,7 @@ def build_weyl(
             rows[i][j] = (1 if i == j else 0) - pairings[i][j]
         gens.append(ExactMatrix.from_rows(rows))
     group = FiniteMatrixGroup.closure(rank, 1, None, gens, max_order)
-    assert group.order == order
-    return group
+    return _checked_order(group, order)
 
 
 @lru_cache(maxsize=None)
@@ -256,8 +263,7 @@ def build_sl2_subgroup(kind: str, k: int | None = None) -> FiniteMatrixGroup:
     group = FiniteMatrixGroup.closure(
         2, conductor, standard_symplectic_form(2, conductor), gens
     )
-    assert group.order == expected
-    return group
+    return _checked_order(group, expected)
 
 
 @lru_cache(maxsize=None)
@@ -295,8 +301,7 @@ def build_imprimitive(
             rows[1][1] = z ** (m - 1)
             gens.append(ExactMatrix.from_rows(rows, m))
     group = FiniteMatrixGroup.closure(n, m, None, gens, max_order)
-    assert group.order == order
-    return group
+    return _checked_order(group, order)
 
 
 @lru_cache(maxsize=None)
@@ -319,8 +324,7 @@ def build_negation(dim: int) -> FiniteMatrixGroup:
     group = FiniteMatrixGroup.closure(
         dim, 1, standard_symplectic_form(dim), [-ExactMatrix.identity(dim)]
     )
-    assert group.order == 2
-    return group
+    return _checked_order(group, 2)
 
 
 @dataclass(frozen=True)

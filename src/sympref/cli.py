@@ -95,30 +95,18 @@ def _load_group(args):
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        group = _load_group(args)
-        report = analyze(group, with_strata=args.strata)
-    except OrderBoundExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ORDER_BOUND
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
+    group = _load_group(args)
+    report = analyze(group, with_strata=args.strata)
     rendered = report_to_json(report) if args.json else report_to_text(report)
     sys.stdout.write(rendered)
     return EXIT_OK if report.verdict == VERDICT_HOLDS else EXIT_NEGATIVE
 
 
 def _cmd_semismall(args) -> int:
-    try:
-        group = _load_group(args)
-        lattice = build_lattice(group)
-        fibers = parse_fiber_data(_read_file(args.fibers))
-        result = semismall_check(lattice, fibers)
-    except OrderBoundExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ORDER_BOUND
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
+    group = _load_group(args)
+    lattice = build_lattice(group)
+    fibers = parse_fiber_data(_read_file(args.fibers))
+    result = semismall_check(lattice, fibers)
     for check in result.checks:
         print(
             "stratum %d: codim %d, fiber %d -> %s"
@@ -134,24 +122,16 @@ def _cmd_semismall(args) -> int:
 
 
 def _cmd_double(args) -> int:
-    try:
-        doc = parse_group_spec(_read_file(args.spec))
-        if doc.symplectic_form is not None:
-            return _error(
-                "doubling takes a plain linear action; remove the "
-                "symplectic form from the input document"
-            )
-        group = make_group(doc, args.max_order)
-        doubled = double(group)
-        out = serialize_group_spec(
-            spec_from_group(doc.name + "_doubled", doubled)
+    doc = parse_group_spec(_read_file(args.spec))
+    if doc.symplectic_form is not None:
+        return _error(
+            "doubling takes a plain linear action; remove the "
+            "symplectic form from the input document"
         )
-        _write_output(out, args.output)
-    except OrderBoundExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ORDER_BOUND
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
+    group = make_group(doc, args.max_order)
+    doubled = double(group)
+    out = serialize_group_spec(spec_from_group(doc.name + "_doubled", doubled))
+    _write_output(out, args.output)
     return EXIT_OK
 
 
@@ -169,16 +149,10 @@ def _cmd_catalog(args) -> int:
                 )
             )
         return EXIT_OK
-    try:
-        entry = get_entry(args.name)
-        group = entry.build()
-        out = serialize_group_spec(spec_from_group(entry.name, group))
-        _write_output(out, args.output)
-    except OrderBoundExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ORDER_BOUND
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
+    entry = get_entry(args.name)
+    group = entry.build()
+    out = serialize_group_spec(spec_from_group(entry.name, group))
+    _write_output(out, args.output)
     return EXIT_OK
 
 
@@ -197,9 +171,9 @@ def _cmd_spectrum(args) -> int:
             input_tol=args.input_tol,
             pair_tol=args.pair_tol,
         )
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
     except (TypeError, ValueError) as exc:
+        # beyond the input errors main() handles: undecodable files, and
+        # numpy's own conversion and linear algebra failures
         return _error(exc)
     for v in values:
         print("%.12g" % v)
@@ -288,7 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except OrderBoundExceeded as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ORDER_BOUND
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

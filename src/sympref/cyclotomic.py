@@ -28,6 +28,14 @@ class DivisionByZero(ZeroDivisionError):
     """Inversion of the zero element."""
 
 
+class InvariantViolation(RuntimeError):
+    """A computed result contradicts the mathematics it rests on.
+
+    Raised by internal consistency checks, never by bad input: it means
+    a bug in this package.
+    """
+
+
 def divisors(m: int) -> list[int]:
     small, large = [], []
     d = 1
@@ -83,7 +91,8 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
             quot[i - dn] = c
             for j in range(len(den)):
                 num[i - dn + j] -= c * den[j]
-    assert not any(num), "non-exact cyclotomic division"
+    if any(num):
+        raise InvariantViolation("non-exact cyclotomic division")
     return quot
 
 

@@ -1,12 +1,13 @@
 """Finite matrix groups over a cyclotomic field.
 
-A group is enumerated once by closure of its generators (Dimino's
-algorithm, which fills in whole cosets of the previously generated
-subgroup instead of multiplying all pairs) and then frozen: elements
+A group is enumerated once, by breadth-first closure of the identity
+under right multiplication by the generators, and then frozen: elements
 live in a fixed canonical order, with the identity at index 0 and the
-rest sorted by their coefficient keys.  Everything downstream works
-with element indices into that order, which is what makes reports
-deterministic.
+rest sorted by their coefficient keys.  The closure's products are kept
+as the regular representation (a permutation table per generator, a
+Schreier word per element), so products and inverses of elements are
+table walks that touch no matrix.  Everything downstream works with
+element indices, which is what makes reports deterministic.
 """
 
 from __future__ import annotations
@@ -53,71 +54,73 @@ class NotAMember(ValueError):
     """A matrix that is not an element of the group."""
 
 
-def _dimino(identity, generators, multiply, max_size):
-    """Enumerate the group generated by `generators` under `multiply`.
+def _closure(identity, generators, multiply, max_size):
+    """Breadth-first closure of the identity under x -> x*g, g a generator.
 
-    Handles must be hashable.  Returns the elements in discovery order,
-    identity first.  Elements are added one coset of the previously
-    closed subgroup at a time.
+    Handles must be hashable, generators distinct.  Returns the elements
+    in discovery order (identity first), the tables (tables[k][i] is the
+    position of elements[i]*generators[k]) and the Schreier words (the
+    generator positions whose product, left to right, is elements[i]).
     """
     elements = [identity]
-    seen = {identity}
-
-    def append_coset(rep, subgroup_size):
-        # the coset (subgroup so far) * rep; elements[:subgroup_size]
-        # is that subgroup, and its first entry is the identity
-        for i in range(subgroup_size):
-            t = multiply(elements[i], rep)
-            if t not in seen:
-                seen.add(t)
-                elements.append(t)
-                if len(elements) > max_size:
+    position = {identity: 0}
+    words = [()]
+    tables = [[] for _ in generators]
+    # elements grows while it is scanned: it is the breadth-first queue
+    for i, x in enumerate(elements):
+        for k, g in enumerate(generators):
+            y = multiply(x, g)
+            j = position.setdefault(y, len(elements))
+            if j == len(elements):
+                if j >= max_size:
                     raise OrderBoundExceeded(max_size)
+                elements.append(y)
+                words.append(words[i] + (k,))
+            tables[k].append(j)
+    return elements, tables, words
 
-    for i, g in enumerate(generators):
-        if g in seen:
-            continue
-        subgroup_size = len(elements)
-        frontier = [g]
-        seen.add(g)
-        elements.append(g)
-        if len(elements) > max_size:
-            raise OrderBoundExceeded(max_size)
-        append_coset(g, subgroup_size)
-        while frontier:
-            rep = frontier.pop()
-            for s in generators[: i + 1]:
-                t = multiply(rep, s)
-                if t not in seen:
-                    seen.add(t)
-                    elements.append(t)
-                    if len(elements) > max_size:
-                        raise OrderBoundExceeded(max_size)
-                    append_coset(t, subgroup_size)
-                    frontier.append(t)
-    return elements
+
+def _canonical(dimension, conductor, omega, generators, found, tables, words):
+    """The group of closure output `found` (discovery order, identity
+    first), renumbered into canonical order: identity, then by key."""
+    order = [0] + sorted(range(1, len(found)), key=lambda i: found[i].key())
+    renumber = sorted(range(len(order)), key=order.__getitem__)  # inverse
+    return FiniteMatrixGroup(
+        dimension, conductor, omega, generators,
+        [found[i] for i in order],
+        [[renumber[t[i]] for i in order] for t in tables],
+        [words[i] for i in order],
+    )
 
 
 class FiniteMatrixGroup:
     """A finite group of exact matrices, fully enumerated.
 
     omega is the preserved symplectic form, or None for a plain linear
-    action (no form checked or stored).
+    action (no form checked or stored).  tables and words are those of
+    _closure, renumbered to the canonical order.
     """
 
     __slots__ = (
         "dimension", "conductor", "omega", "generators", "elements",
-        "_index", "_inverse_cache", "_generator_indices",
+        "_index", "_tables", "_inverse_tables", "_words",
+        "_generator_indices",
     )
 
-    def __init__(self, dimension, conductor, omega, generators, elements):
+    def __init__(self, dimension, conductor, omega, generators, elements,
+                 tables, words):
         self.dimension = dimension
         self.conductor = conductor
         self.omega = omega
         self.generators = tuple(generators)
         self.elements = tuple(elements)
         self._index = {m.key(): i for i, m in enumerate(self.elements)}
-        self._inverse_cache = {}
+        self._tables = tuple(tables)
+        self._words = tuple(words)
+        # inverse permutations: position j holds the i with table[i] == j
+        self._inverse_tables = tuple(
+            sorted(range(len(t)), key=t.__getitem__) for t in self._tables
+        )
         self._generator_indices = None
 
     @classmethod
@@ -153,9 +156,10 @@ class FiniteMatrixGroup:
                 if not is_symplectic(g, omega):
                     raise NotSymplectic(i)
 
-        matrices = {g.key(): g for g in gens}
         identity = ExactMatrix.identity(dimension, conductor)
-        matrices.setdefault(identity.key(), identity)
+        matrices = {identity.key(): identity}
+        for g in gens:
+            matrices.setdefault(g.key(), g)
 
         def multiply(k1, k2):
             prod = matrices[k1] * matrices[k2]
@@ -163,12 +167,23 @@ class FiniteMatrixGroup:
             matrices.setdefault(key, prod)
             return key
 
-        keys = _dimino(
-            identity.key(), [g.key() for g in gens], multiply, max_order
+        # the distinct generators other than the identity
+        keys, tables, words = _closure(
+            identity.key(), list(matrices)[1:], multiply, max_order
         )
-        ordered = sorted(k for k in keys if k != identity.key())
-        elements = [identity] + [matrices[k] for k in ordered]
-        return cls(dimension, conductor, omega, gens, elements)
+        return _canonical(
+            dimension, conductor, omega, gens,
+            [matrices[k] for k in keys], tables, words,
+        )
+
+    def isomorphic_image(self, images, omega, generators) -> "FiniteMatrixGroup":
+        """The group of images[i], the image of element i under an
+        injective homomorphism, and of the generators' images; it keeps
+        this group's tables and words instead of being closed again."""
+        return _canonical(
+            images[0].rows, images[0].conductor, omega, generators,
+            images, self._tables, self._words,
+        )
 
     @property
     def order(self) -> int:
@@ -207,15 +222,15 @@ class FiniteMatrixGroup:
             raise NotAMember("matrix is not an element of this group") from None
 
     def product_index(self, i: int, j: int) -> int:
-        return self._index[(self.elements[i] * self.elements[j]).key()]
+        for k in self._words[j]:
+            i = self._tables[k][i]
+        return i
 
     def inverse_index(self, i: int) -> int:
-        cached = self._inverse_cache.get(i)
-        if cached is None:
-            cached = self._index[self.elements[i].inverse().key()]
-            self._inverse_cache[i] = cached
-            self._inverse_cache[cached] = i
-        return cached
+        x = self.identity_index
+        for k in reversed(self._words[i]):
+            x = self._inverse_tables[k][x]
+        return x
 
     def generator_indices(self) -> tuple[int, ...]:
         if self._generator_indices is None:
@@ -271,21 +286,31 @@ class SubgroupHandle:
         )
 
 
-def element_order(group: FiniteMatrixGroup, element) -> int:
-    """Multiplicative order of an element (index or matrix)."""
+def powers(group: FiniteMatrixGroup, element) -> tuple[int, ...]:
+    """Indices of g^0, g^1, ..., g^(n-1) for an element g (index or
+    matrix) of order n."""
     idx = element if isinstance(element, int) else group.index_of(element)
     if not 0 <= idx < group.order:
         raise NotAMember("element index out of range")
-    n = 1
+    out = [group.identity_index]
     cur = idx
     while cur != group.identity_index:
+        out.append(cur)
         cur = group.product_index(cur, idx)
-        n += 1
-    return n
+    return tuple(out)
+
+
+def element_order(group: FiniteMatrixGroup, element) -> int:
+    """Multiplicative order of an element (index or matrix)."""
+    return len(powers(group, element))
 
 
 def generated_subgroup(group: FiniteMatrixGroup, seeds) -> SubgroupHandle:
-    """The subgroup generated by the given elements (indices or matrices)."""
+    """The subgroup generated by the given elements (indices or matrices).
+
+    A seed inside the subgroup generated so far is skipped, so each
+    closure at least doubles it: at most log2 |G| closures are run.
+    """
     seed_indices = sorted(
         {s if isinstance(s, int) else group.index_of(s) for s in seeds}
     )
@@ -293,40 +318,14 @@ def generated_subgroup(group: FiniteMatrixGroup, seeds) -> SubgroupHandle:
         if not 0 <= s < group.order:
             raise NotAMember("seed index out of range")
 
-    members = [group.identity_index]
-    seen = {group.identity_index}
-
-    def append_coset(rep, subgroup_size):
-        for i in range(subgroup_size):
-            t = group.product_index(members[i], rep)
-            if t not in seen:
-                seen.add(t)
-                members.append(t)
-
-    for i, s in enumerate(seed_indices):
-        if s in seen:
-            continue
-        if len(members) == group.order:
-            break
-        subgroup_size = len(members)
-        frontier = [s]
-        seen.add(s)
-        members.append(s)
-        append_coset(s, subgroup_size)
-        while frontier:
-            rep = frontier.pop()
-            for t_seed in seed_indices[: i + 1]:
-                t = group.product_index(rep, t_seed)
-                if t not in seen:
-                    seen.add(t)
-                    members.append(t)
-                    append_coset(t, subgroup_size)
-                    frontier.append(t)
-
-    flags = [False] * group.order
-    for m in seen:
-        flags[m] = True
-    return SubgroupHandle(group, flags)
+    kept, members = [], {group.identity_index}
+    for s in seed_indices:
+        if s not in members:
+            kept.append(s)
+            members = set(_closure(
+                group.identity_index, kept, group.product_index, group.order
+            )[0])
+    return SubgroupHandle(group, [i in members for i in range(group.order)])
 
 
 def is_normal(group: FiniteMatrixGroup, subgroup: SubgroupHandle) -> bool:

@@ -193,6 +193,14 @@ class ExactMatrix:
             out.append(acc)
         return tuple(out)
 
+    def trace(self) -> CyclotomicNumber:
+        if self.rows != self.cols:
+            raise DimensionMismatch("only square matrices have a trace")
+        return sum(
+            (self.entry(i, i) for i in range(self.rows)),
+            CyclotomicNumber.zero(self.conductor),
+        )
+
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False

@@ -35,6 +35,14 @@ def _as_square(matrix, name):
     return a
 
 
+def _require_finite(a, name):
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        i, j = bad[0]
+        value = a[i, j].real if a[i, j].imag == 0 else a[i, j]
+        raise BadInput("%s[%d][%d] is %s, not finite" % (name, i, j, value))
+
+
 def pfaffian(matrix) -> complex:
     """Pfaffian of an antisymmetric matrix.
 
@@ -100,11 +108,12 @@ def symplectic_eigenvalues(
     """The n/2 symplectic eigenvalues of theta, ascending.
 
     theta must be antisymmetric and metric (identity when omitted)
-    Hermitian positive definite, both to input_tol relative.  The
-    paired singular values must agree to pair_tol relative to the
-    largest one, else ToleranceViolation.
+    Hermitian positive definite, both to input_tol relative, with every
+    entry finite.  The paired singular values must agree to pair_tol
+    relative to the largest one, else ToleranceViolation.
     """
     t = _as_square(theta, "theta")
+    _require_finite(t, "theta")
     n = t.shape[0]
     if n == 0 or n % 2:
         raise BadInput("theta needs even positive dimension, got %d" % n)
@@ -118,6 +127,7 @@ def symplectic_eigenvalues(
         h = _as_square(metric, "metric")
         if h.shape[0] != n:
             raise BadInput("metric dimension differs from theta")
+        _require_finite(h, "metric")
         hscale = max(float(np.max(np.abs(h))), 1.0)
         if float(np.max(np.abs(h - h.conj().T))) > input_tol * hscale:
             raise BadInput("metric is not Hermitian to tolerance")

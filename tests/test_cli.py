@@ -215,6 +215,31 @@ def test_spectrum_bad_input(tmp_path, capsys, payload):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"theta": [[0, NaN], [NaN, 0]]}', "theta[0][1] is nan"),
+        ('{"theta": [[0, Infinity], [-Infinity, 0]]}', "theta[0][1] is inf"),
+        (
+            '{"theta": [[0, 1], [-1, 0]], "metric": [[1, 0], [0, -Infinity]]}',
+            "metric[1][1] is -inf",
+        ),
+    ],
+)
+def test_spectrum_rejects_non_finite_entries(tmp_path, text, message):
+    path = tmp_path / "theta.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympref.cli", "spectrum", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    # the message alone: no numpy RuntimeWarning ahead of it
+    assert proc.stderr == "error: %s, not finite\n" % message
+
+
 def test_spectrum_zero_pair_tolerance(tmp_path, capsys):
     rng = np.random.default_rng(53)
     a = rng.standard_normal((8, 8))

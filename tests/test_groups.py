@@ -1,5 +1,6 @@
 import pytest
 
+from sympref.catalog import build_entry, build_weyl
 from sympref.cyclotomic import CyclotomicNumber
 from sympref.groups import (
     FiniteMatrixGroup,
@@ -11,6 +12,7 @@ from sympref.groups import (
     element_order,
     generated_subgroup,
     is_normal,
+    powers,
 )
 from sympref.linalg import BadForm, ExactMatrix, standard_symplectic_form
 
@@ -115,6 +117,12 @@ def test_order_bound_exceeded():
         FiniteMatrixGroup.closure(
             1, 7, None, [ExactMatrix.from_rows([[z]], 7)], max_order=5
         )
+    # a bound below 2 admits only the trivial group
+    for bound in (1, 0, -3):
+        with pytest.raises(OrderBoundExceeded):
+            FiniteMatrixGroup.closure(
+                3, 1, None, [perm_matrix([1, 0, 2])], max_order=bound
+            )
 
 
 def test_singular_generator_rejected():
@@ -165,6 +173,34 @@ def test_product_and_inverse_indices():
         inv = g.inverse_index(i)
         assert g.product_index(i, inv) == g.identity_index
         assert g.product_index(inv, i) == g.identity_index
+
+
+@pytest.mark.parametrize(
+    "name", ["symmetric_n3", "imprimitive_3_1_2", "sl2_binary_tetrahedral"]
+)
+def test_index_arithmetic_matches_exact_matrices(name):
+    # imprimitive_3_1_2 is built by doubling, the others by closure
+    g = build_entry(name)
+    for i, a in enumerate(g.elements):
+        assert g.inverse_index(i) == g.index_of(a.inverse())
+        for j, b in enumerate(g.elements):
+            assert g.product_index(i, j) == g.index_of(a * b)
+
+
+def test_powers_are_the_cyclic_subgroup():
+    g = quaternion_group()
+    for i in range(g.order):
+        cyclic = powers(g, i)
+        assert cyclic[0] == g.identity_index
+        assert len(set(cyclic)) == len(cyclic) == element_order(g, i)
+        assert generated_subgroup(g, [i]).indices() == tuple(sorted(cyclic))
+
+
+@pytest.mark.parametrize(
+    "family, rank, classes", [("B", 3, 10), ("D", 4, 13), ("F4", None, 25)]
+)
+def test_weyl_group_class_counts(family, rank, classes):
+    assert len(conjugacy_classes(build_weyl(family, rank))) == classes
 
 
 def test_generated_subgroup_and_lagrange():

@@ -1,6 +1,8 @@
 import pytest
 
-from sympref.cyclotomic import CyclotomicNumber
+from sympref import reflections
+from sympref.catalog import CATALOG
+from sympref.cyclotomic import CyclotomicNumber, InvariantViolation
 from sympref.groups import FiniteMatrixGroup, generated_subgroup
 from sympref.linalg import (
     ExactMatrix,
@@ -79,6 +81,20 @@ def test_census_in_a_planar_group():
     assert all(c == 2 for c in cen.codims[1:])
     assert cen.symplectic_reflection_count == 7
     assert cen.complex_reflections == ()
+
+
+def test_trace_census_matches_elimination_on_the_catalog():
+    for entry in CATALOG:
+        g = entry.build()
+        assert census(g).codims == tuple(
+            fixed_space(m).codim for m in g.elements
+        ), entry.name
+
+
+def test_a_reflection_subgroup_that_is_not_normal_raises(monkeypatch):
+    monkeypatch.setattr(reflections, "is_normal", lambda group, sub: False)
+    with pytest.raises(InvariantViolation):
+        reflection_subgroup(block_swap_group())
 
 
 def test_census_block_swap():
