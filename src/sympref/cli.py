@@ -68,6 +68,7 @@ _INPUT_ERRORS = (
     MissingFiberData,
     ToleranceViolation,
     OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -172,8 +173,8 @@ def _cmd_spectrum(args) -> int:
             pair_tol=args.pair_tol,
         )
     except (TypeError, ValueError) as exc:
-        # beyond the input errors main() handles: undecodable files, and
-        # numpy's own conversion and linear algebra failures
+        # beyond the input errors main() handles: numpy's own conversion
+        # and linear algebra failures
         return _error(exc)
     for v in values:
         print("%.12g" % v)

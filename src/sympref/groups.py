@@ -103,8 +103,7 @@ class FiniteMatrixGroup:
 
     __slots__ = (
         "dimension", "conductor", "omega", "generators", "elements",
-        "_index", "_tables", "_inverse_tables", "_words",
-        "_generator_indices",
+        "_index", "_tables", "_inverse_tables", "_words", "_conjugations",
     )
 
     def __init__(self, dimension, conductor, omega, generators, elements,
@@ -121,7 +120,7 @@ class FiniteMatrixGroup:
         self._inverse_tables = tuple(
             sorted(range(len(t)), key=t.__getitem__) for t in self._tables
         )
-        self._generator_indices = None
+        self._conjugations = None
 
     @classmethod
     def closure(
@@ -233,14 +232,22 @@ class FiniteMatrixGroup:
         return x
 
     def generator_indices(self) -> tuple[int, ...]:
-        if self._generator_indices is None:
-            seen = []
-            for g in self.generators:
-                idx = self.index_of(g)
-                if idx not in seen:
-                    seen.append(idx)
-            self._generator_indices = tuple(seen)
-        return self._generator_indices
+        """Indices of the distinct generators, in generator order."""
+        return tuple(dict.fromkeys(self.index_of(g) for g in self.generators))
+
+    def conjugations(self) -> tuple[tuple[int, ...], ...]:
+        """Per distinct generator g, the permutation of element indices
+        taking x to g x g^-1; built once."""
+        if self._conjugations is None:
+            pairs = [(g, self.inverse_index(g)) for g in self.generator_indices()]
+            self._conjugations = tuple(
+                tuple(
+                    self.product_index(self.product_index(g, x), g_inv)
+                    for x in range(self.order)
+                )
+                for g, g_inv in pairs
+            )
+        return self._conjugations
 
     def __len__(self):
         return len(self.elements)
@@ -328,46 +335,42 @@ def generated_subgroup(group: FiniteMatrixGroup, seeds) -> SubgroupHandle:
     return SubgroupHandle(group, [i in members for i in range(group.order)])
 
 
+def orbits(points: int, moves) -> tuple[tuple[int, ...], ...]:
+    """Orbits on 0..points-1 of the group generated by `moves`, each a
+    permutation given as a sequence (point -> image), as sorted tuples
+    ordered by their smallest member.  Moving forward reaches the whole
+    orbit: a permutation's inverse is one of its powers."""
+    seen = [False] * points
+    out = []
+    for start in range(points):
+        if not seen[start]:
+            seen[start] = True
+            orbit = [start]
+            # orbit grows while it is scanned: it is the breadth-first queue
+            for x in orbit:
+                for move in moves:
+                    if not seen[move[x]]:
+                        seen[move[x]] = True
+                        orbit.append(move[x])
+            out.append(tuple(sorted(orbit)))
+    return tuple(out)
+
+
 def is_normal(group: FiniteMatrixGroup, subgroup: SubgroupHandle) -> bool:
     """Whether the subgroup is normal, checked by conjugating each
     member with each group generator."""
     if subgroup.parent is not group:
         raise ValueError("subgroup belongs to a different group")
-    for g in group.generator_indices():
-        g_inv = group.inverse_index(g)
-        for h in subgroup.indices():
-            conj = group.product_index(group.product_index(g, h), g_inv)
-            if not subgroup.flags[conj]:
-                return False
-    return True
+    return all(
+        subgroup.flags[conj[h]]
+        for conj in group.conjugations()
+        for h in subgroup.indices()
+    )
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes as sorted index tuples, ordered by their
-    smallest member (so the identity class comes first).
-
-    Each class is the orbit of an element under conjugation by the
-    generators; generator conjugations already reach the whole class
-    because conjugation by a product composes them.
-    """
-    gen_pairs = [
-        (g, group.inverse_index(g)) for g in group.generator_indices()
-    ]
-    assigned = [False] * group.order
-    classes = []
-    for start in range(group.order):
-        if assigned[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        assigned[start] = True
-        while frontier:
-            x = frontier.pop()
-            for g, g_inv in gen_pairs:
-                y = group.product_index(group.product_index(g, x), g_inv)
-                if y not in orbit:
-                    orbit.add(y)
-                    assigned[y] = True
-                    frontier.append(y)
-        classes.append(tuple(sorted(orbit)))
-    return tuple(classes)
+    smallest member (so the identity class comes first): the orbits of
+    conjugation by the generators, which reach the whole class because
+    conjugation by a product composes them."""
+    return orbits(group.order, group.conjugations())

@@ -1,10 +1,14 @@
 """Stratification of the representation space by fixed subspaces.
 
-The strata are the intersection closure of the element fixed spaces
-(equivalently, all subspaces of the form V^H for subgroups H), ordered
-by ascending codimension and then by the canonical subspace key.  The
-result is deterministic for a given group, so stratum indices are
-stable and can be referenced from external fiber-dimension data.
+The strata are the intersection closure of the element fixed spaces,
+that is the subspaces V^H for subgroups H.  Each stratum S is held with
+its pointwise stabilizer K_S = {g : S lies in V^g} as a bitmask over
+element indices.  S = V^(K_S), so S lies in T exactly when K_T is a
+subset of K_S, the stabilizer order is a popcount, and g S has
+stabilizer g K_S g^-1: covers, orders and orbits (by the shared
+`groups.orbits` routine) need no subspace.  Strata are ordered by
+ascending codimension, then by canonical subspace key, so stratum
+indices are stable and can be referenced from fiber-dimension data.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .groups import FiniteMatrixGroup
+from .groups import FiniteMatrixGroup, orbits
 from .linalg import Subspace, fixed_space
 
 
@@ -50,77 +54,68 @@ class StratificationLattice:
 
 def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     """Intersection closure of the element fixed spaces."""
-    element_fixed = [fixed_space(g) for g in group.elements]
-    spaces: dict = {}
-    for s in element_fixed:
+    # the atoms: the distinct element fixed spaces, and for each the
+    # mask of the elements whose fixed space it is
+    spaces, owners = {}, {}
+    for i, g in enumerate(group.elements):
+        s = fixed_space(g)
         spaces.setdefault(s.key(), s)
-    worklist = list(spaces.values())
-    while worklist:
-        s = worklist.pop()
-        for t in list(spaces.values()):
-            cap = s.intersect(t)
-            if cap.key() not in spaces:
-                spaces[cap.key()] = cap
-                worklist.append(cap)
+        owners[s.key()] = owners.get(s.key(), 0) | 1 << i
 
-    ordered = sorted(spaces.values(), key=lambda s: (s.codim, s.key()))
-    index_by_key = {s.key(): i for i, s in enumerate(ordered)}
+    def stabilizer(space):
+        # the owners of the atoms containing the space; owners are
+        # disjoint, so their sum is their union
+        return sum(
+            own for a, own in owners.items()
+            if spaces[a].dim >= space.dim and space.is_subspace_of(spaces[a])
+        )
 
-    stabilizer_orders = [
-        sum(1 for fs in element_fixed if s.is_subspace_of(fs))
-        for s in ordered
+    found = list(owners)
+    masks = {k: stabilizer(spaces[k]) for k in found}
+    # found grows while it is scanned, and each pair is met once; the
+    # meet of a comparable pair is one of the pair
+    for i, k in enumerate(found):
+        for t in found[:i]:
+            if masks[k] & masks[t] not in (masks[k], masks[t]):
+                cap = spaces[k].intersect(spaces[t])
+                if cap.key() not in spaces:
+                    spaces[cap.key()] = cap
+                    masks[cap.key()] = stabilizer(cap)
+                    found.append(cap.key())
+
+    found.sort(key=lambda k: (spaces[k].codim, k))
+    stabs = [masks[k] for k in found]
+    # S_j lies strictly below S_i exactly when K_i is a proper subset of K_j
+    below = [
+        {j for j, other in enumerate(stabs) if other != m and other & m == m}
+        for m in stabs
     ]
-
-    n = len(ordered)
-    below = [[False] * n for _ in range(n)]
-    for i, si in enumerate(ordered):
-        for j, sj in enumerate(ordered):
-            if i != j and sj.dim < si.dim and sj.is_subspace_of(si):
-                below[i][j] = True
-    covers = []
-    for i in range(n):
-        immediate = [
-            j for j in range(n)
-            if below[i][j]
-            and not any(below[i][k] and below[k][j] for k in range(n))
-        ]
-        covers.append(tuple(immediate))
-
-    assigned = [False] * n
-    orbits = []
-    gens = [group.element(i) for i in group.generator_indices()]
-    for start in range(n):
-        if assigned[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        assigned[start] = True
-        while frontier:
-            i = frontier.pop()
-            space = ordered[i]
-            for g in gens:
-                moved = Subspace.from_spanning(
-                    space.ambient_dim,
-                    [g.apply(vec) for vec in space.basis],
-                    group.conductor,
-                )
-                j = index_by_key[moved.key()]  # lattice is group-stable
-                if j not in orbit:
-                    orbit.add(j)
-                    assigned[j] = True
-                    frontier.append(j)
-        orbits.append(tuple(sorted(orbit)))
-
+    # g S has pointwise stabilizer g K_S g^-1
+    index = {m: i for i, m in enumerate(stabs)}
+    moves = [
+        [index[_conjugate(m, conj)] for m in stabs]
+        for conj in group.conjugations()
+    ]
     strata = tuple(
         Stratum(
-            subspace=s,
-            codim=s.codim,
-            stabilizer_order=stab,
-            covers=cov,
+            subspace=spaces[k],
+            codim=spaces[k].codim,
+            stabilizer_order=m.bit_count(),
+            covers=tuple(sorted(b.difference(*(below[j] for j in b)))),
         )
-        for s, stab, cov in zip(ordered, stabilizer_orders, covers)
+        for k, m, b in zip(found, stabs, below)
     )
-    return StratificationLattice(strata=strata, orbits=tuple(orbits))
+    return StratificationLattice(strata, orbits(len(strata), moves))
+
+
+def _conjugate(mask, perm):
+    """The mask of the images under perm of the indices set in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def parse_fiber_data(document) -> dict[int, int]:

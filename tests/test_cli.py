@@ -102,6 +102,20 @@ def test_analyze_invalid_json(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "semismall", "double", "spectrum"])
+def test_undecodable_file_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = [command, str(path)] + ([str(path)] if command == "semismall" else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+
 def test_analyze_order_bound(tmp_path, capsys):
     spec = write_json(tmp_path, "spec.json", SHEAR)
     assert main(["analyze", "--max-order", "64", spec]) == 2

@@ -1,7 +1,15 @@
+from functools import reduce
+
 import pytest
 
+from sympref.catalog import CATALOG, get_entry
 from sympref.groups import FiniteMatrixGroup
-from sympref.linalg import ExactMatrix, Subspace, standard_symplectic_form
+from sympref.linalg import (
+    ExactMatrix,
+    Subspace,
+    fixed_space,
+    standard_symplectic_form,
+)
 from sympref.reflections import double
 from sympref.stratification import (
     FiberDataError,
@@ -88,8 +96,8 @@ def test_doubled_lattice_doubles_codimensions():
 
 
 def test_lattice_respects_intersection_closure():
-    # two diagonal planes whose intersection is not any element's
-    # fixed space but must still appear in the lattice
+    # the two fixed spaces of codimension 2 meet in the fixed space of
+    # the product diag(-1, -1, -1, -1, 1, 1)
     g = FiniteMatrixGroup.closure(
         6, 1, standard_symplectic_form(6),
         [diagonal(-1, -1, 1, 1, 1, 1), diagonal(1, 1, -1, -1, 1, 1)],
@@ -99,6 +107,94 @@ def test_lattice_respects_intersection_closure():
     assert codims == [0, 2, 2, 4]
     stabs = [s.stabilizer_order for s in lat.strata]
     assert stabs == [1, 2, 2, 4]
+
+
+def test_lattice_adds_a_meet_that_is_no_fixed_space():
+    # the three fixed spaces of codimension 4 meet pairwise in 0, which
+    # is no element's fixed space but must still appear in the lattice
+    g = FiniteMatrixGroup.closure(
+        6, 1, standard_symplectic_form(6),
+        [diagonal(-1, -1, 1, 1, -1, -1), diagonal(1, 1, -1, -1, -1, -1)],
+    )
+    lat = build_lattice(g)
+    assert [s.codim for s in lat.strata] == [0, 4, 4, 4, 6]
+    assert [s.stabilizer_order for s in lat.strata] == [1, 2, 2, 2, 4]
+    assert [s.covers for s in lat.strata] == [(1, 2, 3), (4,), (4,), (4,), ()]
+    assert lat.orbits == ((0,), (1,), (2,), (3,), (4,))
+
+
+@pytest.mark.parametrize(
+    "name, bell, partitions",
+    [("symmetric_n2", 2, 2), ("symmetric_n3", 5, 3), ("symmetric_n4", 15, 5)],
+)
+def test_symmetric_group_strata_are_set_partitions(name, bell, partitions):
+    # S_n on n planes: the strata are the set partitions of the planes,
+    # Bell(n) of them, and their orbits the integer partitions of n
+    lat = build_lattice(get_entry(name).build())
+    assert len(lat) == bell
+    assert len(lat.orbits) == partitions
+
+
+def reference_lattice(group, spaces):
+    """Stabilizer orders, covers and orbits of the given strata,
+    recomputed from subspaces: inclusion in each element's fixed space,
+    pairwise inclusion, and bases moved by the generators."""
+    fixed = [fixed_space(g) for g in group.elements]
+    orders = [sum(s.is_subspace_of(f) for f in fixed) for s in spaces]
+    below = [
+        {j for j, t in enumerate(spaces) if t.dim < s.dim and t.is_subspace_of(s)}
+        for s in spaces
+    ]
+    covers = [
+        tuple(j for j in sorted(b) if not any(j in below[k] for k in b))
+        for b in below
+    ]
+    index = {s.key(): i for i, s in enumerate(spaces)}
+    gens = [group.element(i) for i in group.generator_indices()]
+    orbits, seen = [], set()
+    for start in range(len(spaces)):
+        if start in seen:
+            continue
+        orbit = [start]
+        for i in orbit:
+            for g in gens:
+                moved = Subspace.from_spanning(
+                    group.dimension,
+                    [g.apply(v) for v in spaces[i].basis],
+                    group.conductor,
+                )
+                if index[moved.key()] not in orbit:
+                    orbit.append(index[moved.key()])
+        seen.update(orbit)
+        orbits.append(tuple(sorted(orbit)))
+    return orders, covers, tuple(orbits)
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in CATALOG if e.expected_order <= 54]
+)
+def test_lattice_matches_subspace_recomputation(name):
+    group = get_entry(name).build()
+    lat = build_lattice(group)
+    spaces = [s.subspace for s in lat.strata]
+    keys = [s.key() for s in spaces]
+    # the strata are the element fixed spaces and their meets, each
+    # once, each the meet of the fixed spaces containing it
+    assert len(set(keys)) == len(keys)
+    fixed = [fixed_space(g) for g in group.elements]
+    assert {f.key() for f in fixed} <= set(keys)
+    assert all(s.intersect(t).key() in keys for s in spaces for t in spaces)
+    for s in spaces:
+        meet = reduce(Subspace.intersect, [f for f in fixed if s.is_subspace_of(f)])
+        assert meet == s
+    assert [s.codim for s in lat.strata] == [s.codim for s in spaces]
+    assert [(s.codim, s.key()) for s in spaces] == sorted(
+        (s.codim, s.key()) for s in spaces
+    )
+    orders, covers, orbits = reference_lattice(group, spaces)
+    assert [s.stabilizer_order for s in lat.strata] == orders
+    assert [s.covers for s in lat.strata] == covers
+    assert lat.orbits == orbits
 
 
 def test_parse_fiber_data():
