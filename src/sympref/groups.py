@@ -7,11 +7,15 @@ rest sorted by their coefficient keys.  The closure's products are kept
 as the regular representation (a permutation table per generator, a
 Schreier word per element), so products and inverses of elements are
 table walks that touch no matrix.  Everything downstream works with
-element indices, which is what makes reports deterministic.
+element indices, which is what makes reports deterministic.  Each new
+element's trace is kept, and checked against bounds every element of
+finite order meets, so that most infinite groups stop at their first
+element of infinite order instead of at the order bound.
 """
 
 from __future__ import annotations
 
+from .cyclotomic import CyclotomicNumber
 from .linalg import (
     DimensionMismatch,
     ExactMatrix,
@@ -23,7 +27,7 @@ DEFAULT_MAX_ORDER = 100_000
 
 
 class OrderBoundExceeded(RuntimeError):
-    """Closure grew past max_order; the group may be infinite."""
+    """Closure grew past max_order, or met an element of infinite order."""
 
     def __init__(self, bound, message=None):
         self.bound = bound
@@ -80,7 +84,38 @@ def _closure(identity, generators, multiply, max_size):
     return elements, tables, words
 
 
-def _canonical(dimension, conductor, omega, generators, found, tables, words):
+def _checked_trace(x: ExactMatrix, bound: int) -> CyclotomicNumber:
+    """The trace t of a closure element x, checked against what holds
+    for every element of finite order in dimension n.  Then t is a sum
+    of n roots of unity, so:
+
+    - t is an algebraic integer: its power-basis coefficients are
+      integers, Z[zeta_m] being the ring of integers of Q(zeta_m);
+    - no Galois conjugate of t exceeds n in absolute value, so their
+      mean square, the normalized trace of t * conj(t), is at most n^2;
+    - t = n only for the identity, all eigenvalues being 1.
+
+    A failure proves that x, and so the group, is infinite.
+    """
+    n = x.rows
+    t = x.trace()
+    if any(c.denominator != 1 for c in t.coeffs):
+        reason = "is not an algebraic integer"
+    elif (t * t.conjugate()).normalized_trace() > n * n:
+        reason = "has a Galois conjugate of absolute value above %d" % n
+    elif t == n and not x.is_identity():
+        reason = "equals the dimension, but the element is not the identity"
+    else:
+        return t
+    raise OrderBoundExceeded(
+        bound,
+        "the group is infinite: an element has trace %s, which %s"
+        % (t, reason),
+    )
+
+
+def _canonical(dimension, conductor, omega, generators, found, tables, words,
+               traces):
     """The group of closure output `found` (discovery order, identity
     first), renumbered into canonical order: identity, then by key."""
     order = [0] + sorted(range(1, len(found)), key=lambda i: found[i].key())
@@ -90,6 +125,7 @@ def _canonical(dimension, conductor, omega, generators, found, tables, words):
         [found[i] for i in order],
         [[renumber[t[i]] for i in order] for t in tables],
         [words[i] for i in order],
+        [traces[i] for i in order],
     )
 
 
@@ -98,21 +134,24 @@ class FiniteMatrixGroup:
 
     omega is the preserved symplectic form, or None for a plain linear
     action (no form checked or stored).  tables and words are those of
-    _closure, renumbered to the canonical order.
+    _closure, renumbered to the canonical order; traces[i] is the trace
+    of elements[i].
     """
 
     __slots__ = (
         "dimension", "conductor", "omega", "generators", "elements",
-        "_index", "_tables", "_inverse_tables", "_words", "_conjugations",
+        "traces", "_index", "_tables", "_inverse_tables", "_words",
+        "_conjugations",
     )
 
     def __init__(self, dimension, conductor, omega, generators, elements,
-                 tables, words):
+                 tables, words, traces):
         self.dimension = dimension
         self.conductor = conductor
         self.omega = omega
         self.generators = tuple(generators)
         self.elements = tuple(elements)
+        self.traces = tuple(traces)
         self._index = {m.key(): i for i, m in enumerate(self.elements)}
         self._tables = tuple(tables)
         self._words = tuple(words)
@@ -159,11 +198,15 @@ class FiniteMatrixGroup:
         matrices = {identity.key(): identity}
         for g in gens:
             matrices.setdefault(g.key(), g)
+        traces = {identity.key(): identity.trace()}
 
         def multiply(k1, k2):
             prod = matrices[k1] * matrices[k2]
             key = prod.key()
-            matrices.setdefault(key, prod)
+            # every element but the identity is first met here
+            if key not in traces:
+                traces[key] = _checked_trace(prod, max_order)
+                matrices.setdefault(key, prod)
             return key
 
         # the distinct generators other than the identity
@@ -173,6 +216,7 @@ class FiniteMatrixGroup:
         return _canonical(
             dimension, conductor, omega, gens,
             [matrices[k] for k in keys], tables, words,
+            [traces[k] for k in keys],
         )
 
     def isomorphic_image(self, images, omega, generators) -> "FiniteMatrixGroup":
@@ -181,7 +225,7 @@ class FiniteMatrixGroup:
         this group's tables and words instead of being closed again."""
         return _canonical(
             images[0].rows, images[0].conductor, omega, generators,
-            images, self._tables, self._words,
+            images, self._tables, self._words, [m.trace() for m in images],
         )
 
     @property

@@ -2,14 +2,14 @@
 
 An element is a symplectic reflection when its fixed space has
 codimension exactly 2, and a complex reflection when the codimension is
-1.  The census reads each fixed-space dimension off traces: dim V^g is
-the mean of tr(g^k) over the cyclic group <g>, that mean being the
-trace of the projection onto V^g, and the powers g^k come from the
-group's index arithmetic.  The subgroup generated by all symplectic
-reflections is normal; if it is proper, the symplectic quotient V/G
-admits no symplectic resolution, which is the verdict this module
-computes.  The positive branch is only a necessary condition, never a
-claim that a resolution exists.
+1.  The census reads each fixed-space dimension off the traces the
+closure kept: dim V^g is the mean of tr(g^k) over the cyclic group
+<g>, that mean being the trace of the projection onto V^g, and the
+powers g^k come from the group's index arithmetic.  The subgroup
+generated by all symplectic reflections is normal; if it is proper,
+the symplectic quotient V/G admits no symplectic resolution, which is
+the verdict this module computes.  The positive branch is only a
+necessary condition, never a claim that a resolution exists.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class ReflectionCensus:
 
 def census(group: FiniteMatrixGroup) -> ReflectionCensus:
     """Classify every element by the codimension of its fixed space."""
-    traces = [g.trace() for g in group.elements]
+    traces = group.traces
     zero = CyclotomicNumber.zero(group.conductor)
     codims = []
     for i in range(group.order):

@@ -42,6 +42,13 @@ from .reflections import (
 from .stratification import build_lattice
 
 
+# Bounds checked before anything is built: the largest catalog group
+# has dimension 10 and conductor 20.  An identity matrix alone holds
+# dimension^2 entries of phi(conductor) coefficients each.
+MAX_DIMENSION = 32
+MAX_CONDUCTOR = 400
+
+
 class ParseError(ValueError):
     """The document is not JSON."""
 
@@ -155,9 +162,13 @@ def parse_group_spec(document) -> GroupSpecDocument:
     dimension = document.get("dimension")
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         _fail("dimension", "required and must be a positive integer")
+    if dimension > MAX_DIMENSION:
+        _fail("dimension", "%d is over the maximum %d" % (dimension, MAX_DIMENSION))
     conductor = document.get("conductor", 1)
     if not isinstance(conductor, int) or isinstance(conductor, bool) or conductor < 1:
         _fail("conductor", "must be a positive integer")
+    if conductor > MAX_CONDUCTOR:
+        _fail("conductor", "%d is over the maximum %d" % (conductor, MAX_CONDUCTOR))
 
     form = document.get("symplectic_form")
     if form is not None and form != "standard":

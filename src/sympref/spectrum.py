@@ -9,12 +9,12 @@ which come in equal pairs; a pairing failure beyond tolerance is
 reported rather than silently averaged away.
 
 This module is deliberately floating point: the eigenvalues are
-generally irrational even for rational input.
+generally irrational even for rational input.  It is the only one that
+uses numpy, and imports it inside the functions that need it, so that
+importing the package (and every other command) never loads numpy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 DEFAULT_INPUT_TOL = 1e-12
 DEFAULT_PAIR_TOL = 1e-8
@@ -29,6 +29,8 @@ class ToleranceViolation(ArithmeticError):
 
 
 def _as_square(matrix, name):
+    import numpy as np
+
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadInput("%s must be a square matrix" % name)
@@ -36,6 +38,8 @@ def _as_square(matrix, name):
 
 
 def _require_finite(a, name):
+    import numpy as np
+
     bad = np.argwhere(~np.isfinite(a))
     if len(bad):
         i, j = bad[0]
@@ -80,6 +84,8 @@ def _pfaffian_tridiagonal(a):
     # the matrix to skew tridiagonal form; each row/column swap flips
     # the sign, and congruence by unit triangular matrices leaves the
     # pfaffian unchanged.
+    import numpy as np
+
     a = a.copy()
     n = a.shape[0]
     value = 1.0 + 0.0j
@@ -112,6 +118,8 @@ def symplectic_eigenvalues(
     entry finite.  The paired singular values must agree to pair_tol
     relative to the largest one, else ToleranceViolation.
     """
+    import numpy as np
+
     t = _as_square(theta, "theta")
     _require_finite(t, "theta")
     n = t.shape[0]

@@ -118,12 +118,22 @@ def _conjugate(mask, perm):
     return out
 
 
+def _unique_keys(pairs):
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise FiberDataError("key %r appears twice in one object" % key)
+        out[key] = value
+    return out
+
+
 def parse_fiber_data(document) -> dict[int, int]:
     """Fiber dimensions per stratum index, from a JSON document of the
-    form {"fibers": {"<stratum index>": dimension, ...}}."""
+    form {"fibers": {"<stratum index>": dimension, ...}}.  An index is
+    written in plain decimal, and given at most once."""
     if isinstance(document, (str, bytes)):
         try:
-            document = json.loads(document)
+            document = json.loads(document, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise FiberDataError("invalid JSON: %s" % exc) from None
     if not isinstance(document, dict):
@@ -139,6 +149,11 @@ def parse_fiber_data(document) -> dict[int, int]:
             idx = int(key)
         except (TypeError, ValueError):
             raise FiberDataError("stratum index %r is not an integer" % key) from None
+        if str(idx) != str(key):
+            # "01" or " 1" would silently alias stratum 1
+            raise FiberDataError(
+                "stratum index %r is not written in plain decimal" % key
+            )
         if idx < 0:
             raise FiberDataError("stratum index %d is negative" % idx)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -168,7 +183,14 @@ def semismall_check(
 ) -> SemismallReport:
     """Whether a map with the given fiber dimensions over each stratum
     is semismall: every fiber dimension is at most half the stratum
-    codimension.  Every stratum must come with a fiber dimension."""
+    codimension.  Every stratum must come with a fiber dimension, and
+    every index must name a stratum."""
+    unknown = sorted(i for i in fibers if i >= len(lattice.strata))
+    if unknown:
+        raise FiberDataError(
+            "no stratum %s: the lattice has %d strata"
+            % (", ".join(str(i) for i in unknown), len(lattice.strata))
+        )
     missing = [
         i for i in range(len(lattice.strata)) if i not in fibers
     ]

@@ -100,6 +100,23 @@ def test_every_catalog_entry_builds_with_its_advertised_order():
         assert group.omega is not None, entry.name
 
 
+def test_finite_groups_pass_the_infinite_order_check():
+    # the closure rejects an element whose trace no element of finite
+    # order has; every finite group must close, keeping its traces
+    groups = [entry.build() for entry in CATALOG]
+    groups += [build_sl2_subgroup("cyclic", k) for k in range(1, 13)]
+    groups += [build_sl2_subgroup("binary_dihedral", k) for k in range(2, 7)]
+    groups += [
+        build_imprimitive_doubled(m, p, n)
+        for m, n in ((5, 2), (6, 2), (3, 3), (4, 3))
+        for p in range(1, m + 1)
+        if m % p == 0
+    ]
+    groups += [build_weyl_doubled("A", 4), build_weyl_doubled("B", 4)]
+    for group in groups:
+        assert group.traces == tuple(g.trace() for g in group.elements), group
+
+
 def test_catalog_names_are_unique_and_resolvable():
     names = entry_names()
     assert len(names) == len(set(names))

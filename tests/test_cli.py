@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from sympref.cli import main
 from sympref.linalg import pairing_form
 from sympref.reflections import VERDICT_HOLDS, VERDICT_OBSTRUCTED
-from sympref.specio import make_group, parse_group_spec
+from sympref.specio import ValidationError, make_group, parse_group_spec
 
 BLOCK_SWAP = {
     "name": "block_swap",
@@ -122,6 +123,40 @@ def test_analyze_order_bound(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_analyze_infinite_group_is_one_error_line(tmp_path, capsys):
+    spec = write_json(tmp_path, "spec.json", SHEAR)
+    assert main(["analyze", "--max-order", "1000", spec]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: the group is infinite: an element has trace 2, which "
+        "equals the dimension, but the element is not the identity\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value, bound",
+    [
+        ("dimension", 3000, 32),
+        ("conductor", 1000003, 400),
+        ("conductor", 1000000000000000003, 400),
+    ],
+)
+def test_oversized_spec_is_one_error_line(tmp_path, capsys, field, value, bound):
+    doc = {"name": "big", "dimension": 2, "generators": []}
+    doc[field] = value
+    spec = write_json(tmp_path, "spec.json", doc)
+    # parse first: without the bound, main would go on to build a
+    # matrix of that size (or factor that conductor)
+    with pytest.raises(ValidationError):
+        parse_group_spec(doc)
+    start = time.perf_counter()
+    assert main(["analyze", spec]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", "error: %s: %d is over the maximum %d\n" % (field, value, bound)
+    )
+
+
 def test_analyze_report_is_deterministic(tmp_path, capsys):
     spec = write_json(tmp_path, "spec.json", BLOCK_SWAP)
     main(["analyze", "--json", "--strata", spec])
@@ -153,6 +188,33 @@ def test_semismall_missing_stratum(tmp_path, capsys):
     fibers = write_json(tmp_path, "fibers.json", {"fibers": {"0": 0}})
     assert main(["semismall", spec, fibers]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fibers, message",
+    [
+        (
+            '{"fibers": {"0": 0, "1": 1, "01": 5, "7": 3}}',
+            "stratum index '01' is not written in plain decimal",
+        ),
+        (
+            '{"fibers": {"0": 0, "1": 1, "7": 3}}',
+            "no stratum 7: the lattice has 2 strata",
+        ),
+        (
+            '{"fibers": {"0": 0, "1": 1, "1": 5}}',
+            "key '1' appears twice in one object",
+        ),
+    ],
+)
+def test_semismall_rejects_fibers_it_would_misread(
+    tmp_path, capsys, fibers, message
+):
+    spec = write_json(tmp_path, "spec.json", BLOCK_SWAP)
+    path = tmp_path / "fibers.json"
+    path.write_text(fibers)
+    assert main(["semismall", spec, str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
 
 
 def test_double_writes_a_loadable_spec(tmp_path, capsys):

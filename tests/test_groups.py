@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sympref.catalog import build_entry, build_weyl
@@ -123,6 +125,31 @@ def test_order_bound_exceeded():
             FiniteMatrixGroup.closure(
                 3, 1, None, [perm_matrix([1, 0, 2])], max_order=bound
             )
+
+
+@pytest.mark.parametrize(
+    "conductor, generators, reason",
+    [
+        # unipotent: trace 2, the dimension, but not the identity
+        (1, [[[1, 1], [0, 1]]], "equals the dimension"),
+        (1, [[[2, 0], [0, Fraction(1, 2)]]], "5/2, which is not an algebraic integer"),
+        (1, [[[3, 1], [-1, 0]]], "absolute value above 2"),
+        # trace 2 + 2(z^2 + z^3) is about -1.24 at z = exp(2 pi i/5), as
+        # for a rotation, but about 3.24 at z = exp(4 pi i/5)
+        (5, [[[Cyc(5, [2, 0, 2, 2]), 1], [-1, 0]]], "Galois conjugate"),
+        # SL(2, Z), generated by elements of orders 4 and 6
+        (1, [[[0, -1], [1, 0]], [[0, -1], [1, 1]]], "the group is infinite"),
+    ],
+)
+def test_infinite_groups_fail_at_an_element_of_infinite_order(
+    conductor, generators, reason
+):
+    with pytest.raises(OrderBoundExceeded, match=reason):
+        FiniteMatrixGroup.closure(
+            2, conductor, standard_symplectic_form(2, conductor),
+            [ExactMatrix.from_rows(g, conductor) for g in generators],
+            max_order=1000,
+        )
 
 
 def test_singular_generator_rejected():

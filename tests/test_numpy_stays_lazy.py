@@ -1,0 +1,104 @@
+"""numpy is for `spectrum` alone: importing the package, or running any
+other command, must not load it (it and its BLAS threads cost more than
+most commands' own work)."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sympref
+from sympref.catalog import get_entry
+from sympref.specio import serialize_group_spec, spec_from_group
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "sympref").glob("*.py"))
+
+# runs the command line as `python -m sympref.cli` does, with its exit
+# code, and reports whether numpy was loaded
+RUN_CLI = (
+    "import runpy, sys\n"
+    "sys.argv = ['sympref'] + sys.argv[1:]\n"
+    "try:\n"
+    "    runpy.run_module('sympref.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print('numpy' in sys.modules)\n"
+)
+
+LINEAR_SWAP = {
+    "name": "swap",
+    "dimension": 2,
+    "symplectic_form": None,
+    "generators": [[[0, 1], [1, 0]]],
+}
+
+
+def numpy_loaded(code, *args, cwd):
+    # the package under test, wherever the test process found it
+    path = [str(Path(sympref.__file__).resolve().parents[1])]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("module", ["sympref", "sympref.cli"])
+def test_import_does_not_load_numpy(tmp_path, module):
+    code = "import sys, %s; print('numpy' in sys.modules)" % module
+    assert not numpy_loaded(code, cwd=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["catalog", "emit", "symmetric_n2"], False),
+        (["analyze", "--strata", "s2.json"], False),
+        (["semismall", "s2.json", "fibers.json"], False),
+        (["double", "swap.json"], False),
+        (["spectrum", "theta.json"], True),
+    ],
+)
+def test_only_spectrum_loads_numpy(tmp_path, argv, loads):
+    (tmp_path / "s2.json").write_text(
+        serialize_group_spec(spec_from_group("s2", get_entry("symmetric_n2").build()))
+    )
+    (tmp_path / "fibers.json").write_text('{"fibers": {"0": 0, "1": 1}}')
+    (tmp_path / "swap.json").write_text(json.dumps(LINEAR_SWAP))
+    (tmp_path / "theta.json").write_text('{"theta": [[0, 2], [-2, 0]]}')
+    assert numpy_loaded(RUN_CLI, *argv, cwd=tmp_path) is loads
+
+
+def _numpy_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            yield node
+
+
+def test_numpy_is_imported_only_inside_spectrum_functions():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        in_functions = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+        }
+        for node in _numpy_imports(tree):
+            if path.name != "spectrum.py" or id(node) not in in_functions:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert SOURCES
+    assert found == []

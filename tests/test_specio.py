@@ -137,6 +137,8 @@ def test_parse_error_on_bad_json():
         (lambda d: d.update(dimension=0), "dimension"),
         (lambda d: d.update(dimension="2"), "dimension"),
         (lambda d: d.update(conductor=0), "conductor"),
+        (lambda d: d.update(dimension=33), "dimension: 33 is over the maximum 32"),
+        (lambda d: d.update(conductor=404), "conductor: 404 is over the maximum 400"),
         (lambda d: d.update(extra=1), "unknown"),
         (lambda d: d.pop("generators"), "generators"),
         (lambda d: d["generators"].append([[1, 0]]), "generators[2]"),

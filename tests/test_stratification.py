@@ -215,6 +215,11 @@ def test_parse_fiber_data():
         '{"fibers": {"0": -1}}',
         '{"fibers": {"0": 1.5}}',
         '{"fibers": {"0": true}}',
+        # each would silently stand for stratum 1
+        '{"fibers": {"01": 1}}',
+        '{"fibers": {"+1": 1}}',
+        '{"fibers": {" 1": 1}}',
+        '{"fibers": {"1": 0, "1": 1}}',
     ],
 )
 def test_parse_fiber_data_rejects_malformed_documents(doc):
@@ -239,6 +244,12 @@ def test_semismall_check_requires_all_strata():
     with pytest.raises(MissingFiberData) as exc:
         semismall_check(lat, {0: 0})
     assert exc.value.indices == (1,)
+
+
+def test_semismall_check_rejects_indices_of_no_stratum():
+    lat = build_lattice(block_swap_group())
+    with pytest.raises(FiberDataError, match="no stratum 2, 7: the lattice has 2"):
+        semismall_check(lat, {0: 0, 1: 1, 2: 0, 7: 3})
 
 
 def test_semismall_on_doubled_symmetric_group():
