@@ -105,8 +105,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_semismall(args) -> int:
     group = _load_group(args)
-    lattice = build_lattice(group)
     fibers = parse_fiber_data(_read_file(args.fibers))
+    lattice = build_lattice(group)
     result = semismall_check(lattice, fibers)
     for check in result.checks:
         print(

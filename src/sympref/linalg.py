@@ -396,7 +396,9 @@ class Subspace:
             conductor,
         )
 
-    def contains_vector(self, vector) -> bool:
+    def _residual(self, vector) -> list:
+        """The vector minus its projection along the echelon rows: zero
+        exactly when the vector lies in the subspace."""
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
         m = self.conductor
@@ -409,7 +411,20 @@ class Subspace:
             f = residual[p]
             if f:
                 residual = [a - f * b for a, b in zip(residual, row)]
-        return not any(residual)
+        return residual
+
+    def contains_vector(self, vector) -> bool:
+        return not any(self._residual(vector))
+
+    def join_dim(self, other: "Subspace") -> int:
+        """dim(self + other): the rank of the smaller basis reduced
+        against the larger one's echelon rows, added to its dimension."""
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionMismatch("ambient dimensions differ")
+        if self.dim < other.dim:
+            return other.join_dim(self)
+        residuals = [self._residual(vec) for vec in other.basis]
+        return self.dim + len(_row_reduce(residuals))
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:

@@ -43,10 +43,14 @@ from .stratification import build_lattice
 
 
 # Bounds checked before anything is built: the largest catalog group
-# has dimension 10 and conductor 20.  An identity matrix alone holds
-# dimension^2 entries of phi(conductor) coefficients each.
+# has dimension 10, conductor 20 and 4 generators.  An identity matrix
+# alone holds dimension^2 entries of phi(conductor) coefficients each,
+# and every generator is parsed and rank-checked before closure drops
+# repeats; an irredundant generating set of a group of order at most
+# DEFAULT_MAX_ORDER has at most log2(DEFAULT_MAX_ORDER) < 17 elements.
 MAX_DIMENSION = 32
 MAX_CONDUCTOR = 400
+MAX_GENERATORS = 32
 
 
 class ParseError(ValueError):
@@ -170,6 +174,15 @@ def parse_group_spec(document) -> GroupSpecDocument:
     if conductor > MAX_CONDUCTOR:
         _fail("conductor", "%d is over the maximum %d" % (conductor, MAX_CONDUCTOR))
 
+    raw_gens = document.get("generators")
+    if not isinstance(raw_gens, list):
+        _fail("generators", "required and must be a list of matrices")
+    if len(raw_gens) > MAX_GENERATORS:
+        _fail(
+            "generators",
+            "%d is over the maximum %d" % (len(raw_gens), MAX_GENERATORS),
+        )
+
     form = document.get("symplectic_form")
     if form is not None and form != "standard":
         form = _parse_matrix(form, dimension, conductor, "symplectic_form")
@@ -180,9 +193,6 @@ def parse_group_spec(document) -> GroupSpecDocument:
     elif form == "standard" and dimension % 2:
         _fail("symplectic_form", "standard form needs even dimension")
 
-    raw_gens = document.get("generators")
-    if not isinstance(raw_gens, list):
-        _fail("generators", "required and must be a list of matrices")
     generators = tuple(
         _parse_matrix(g, dimension, conductor, "generators[%d]" % i)
         for i, g in enumerate(raw_gens)

@@ -6,17 +6,31 @@ its pointwise stabilizer K_S = {g : S lies in V^g} as a bitmask over
 element indices.  S = V^(K_S), so S lies in T exactly when K_T is a
 subset of K_S, the stabilizer order is a popcount, and g S has
 stabilizer g K_S g^-1: covers, orders and orbits (by the shared
-`groups.orbits` routine) need no subspace.  Strata are ordered by
-ascending codimension, then by canonical subspace key, so stratum
-indices are stable and can be referenced from fiber-dimension data.
+`groups.orbits` routine) need no subspace.
+
+Elimination runs only where it can find something new.  The atoms,
+the distinct element fixed spaces, take one `fixed_space` per cyclic
+subgroup, and their masks one stabilizer per conjugation orbit.  Every
+stratum is a meet of atoms (Orlik and Terao, Arrangements of
+Hyperplanes, 1992), and (g S) ^ A = g (S ^ g^-1 A), so orbit
+representatives are met with the atoms only.  A pair is skipped when
+its masks are comparable, when K_S | K_A is a known mask, or when a
+known stratum with a mask above K_S | K_A (which lies in S ^ A) has the
+dimension of S ^ A, dim S + dim A - dim(S + A).  A new meet is
+intersected once and its orbit moved by the generator matrices.
+
+Strata are ordered by ascending codimension, then by canonical
+subspace key, so stratum indices are stable and can be referenced from
+fiber-dimension data.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .groups import FiniteMatrixGroup, orbits
+from .groups import FiniteMatrixGroup, orbits, powers
 from .linalg import Subspace, fixed_space
 
 
@@ -54,37 +68,85 @@ class StratificationLattice:
 
 def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     """Intersection closure of the element fixed spaces."""
-    # the atoms: the distinct element fixed spaces, and for each the
-    # mask of the elements whose fixed space it is
+    # the atoms: the distinct element fixed spaces, one elimination per
+    # cyclic subgroup (x^e fixes what x fixes when e is prime to ord x),
+    # and for each the mask of the elements whose fixed space it is
+    atom_of = [None] * group.order
     spaces, owners = {}, {}
-    for i, g in enumerate(group.elements):
-        s = fixed_space(g)
-        spaces.setdefault(s.key(), s)
-        owners[s.key()] = owners.get(s.key(), 0) | 1 << i
+    for i in range(group.order):
+        if atom_of[i] is None:
+            s = fixed_space(group.element(i))
+            spaces.setdefault(s.key(), s)
+            cycle = powers(group, i)
+            for e, x in enumerate(cycle):
+                if math.gcd(e, len(cycle)) == 1:
+                    atom_of[x] = s.key()
+                    owners[s.key()] = owners.get(s.key(), 0) | 1 << x
 
-    def stabilizer(space):
-        # the owners of the atoms containing the space; owners are
-        # disjoint, so their sum is their union
-        return sum(
+    def stabilizer(space, known):
+        # known: elements already known to fix the space.  Masks are
+        # unions of owner masks, and owners are disjoint, so the atoms
+        # left to test are those whose owners miss known; an atom of the
+        # space's own dimension contains it only if it is the space
+        return known + sum(
             own for a, own in owners.items()
-            if spaces[a].dim >= space.dim and space.is_subspace_of(spaces[a])
+            if not own & known and spaces[a].dim > space.dim
+            and space.is_subspace_of(spaces[a])
         )
 
-    found = list(owners)
-    masks = {k: stabilizer(spaces[k]) for k in found}
-    # found grows while it is scanned, and each pair is met once; the
-    # meet of a comparable pair is one of the pair
-    for i, k in enumerate(found):
-        for t in found[:i]:
-            if masks[k] & masks[t] not in (masks[k], masks[t]):
-                cap = spaces[k].intersect(spaces[t])
-                if cap.key() not in spaces:
-                    spaces[cap.key()] = cap
-                    masks[cap.key()] = stabilizer(cap)
-                    found.append(cap.key())
+    conjugations = group.conjugations()
+    gens = [group.element(i) for i in group.generator_indices()]
+    # the atoms' masks, one stabilizer per conjugation orbit: g V^x is
+    # V^(g x g^-1), with pointwise stabilizer g K g^-1
+    masks, reps = {}, []
+    for k in owners:
+        if k not in masks:
+            masks[k] = stabilizer(spaces[k], owners[k])
+            reps.append(masks[k])
+            orbit = [k]
+            for a in orbit:
+                x = owners[a].bit_length() - 1  # an element with V^x = a
+                for conj in conjugations:
+                    b = atom_of[conj[x]]
+                    if b not in masks:
+                        masks[b] = _conjugate(masks[a], conj)
+                        orbit.append(b)
 
-    found.sort(key=lambda k: (spaces[k].codim, k))
-    stabs = [masks[k] for k in found]
+    # strata by pointwise stabilizer; S = V^(K_S), so a mask names its
+    # stratum, and V^(K_S | K_A) is the meet of S and A
+    found = {masks[k]: spaces[k] for k in owners}
+    atoms = list(found.items())
+    # every stratum is a meet of atoms, and (g S) ^ A = g (S ^ g^-1 A),
+    # so it is enough to meet orbit representatives with the atoms;
+    # reps grows while it is scanned
+    for k in reps:
+        s = found[k]
+        for mask, a in atoms:
+            both = k | mask
+            if both in (k, mask) or both in found:
+                continue
+            # a known stratum with a mask above both lies in S ^ A; the
+            # meet is known when the largest of them has its dimension
+            dim = s.dim + a.dim - s.join_dim(a)
+            if any(m & both == both and t.dim == dim for m, t in found.items()):
+                continue
+            cap = s.intersect(a)
+            cap_mask = stabilizer(cap, both)
+            reps.append(cap_mask)
+            found[cap_mask] = cap
+            orbit = [cap_mask]
+            for m in orbit:
+                for g, conj in zip(gens, conjugations):
+                    image = _conjugate(m, conj)
+                    if image not in found:
+                        found[image] = Subspace.from_spanning(
+                            group.dimension,
+                            [g.apply(v) for v in found[m].basis],
+                            group.conductor,
+                        )
+                        orbit.append(image)
+
+    stabs = sorted(found, key=lambda m: (found[m].codim, found[m].key()))
     # S_j lies strictly below S_i exactly when K_i is a proper subset of K_j
     below = [
         {j for j, other in enumerate(stabs) if other != m and other & m == m}
@@ -92,18 +154,15 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     ]
     # g S has pointwise stabilizer g K_S g^-1
     index = {m: i for i, m in enumerate(stabs)}
-    moves = [
-        [index[_conjugate(m, conj)] for m in stabs]
-        for conj in group.conjugations()
-    ]
+    moves = [[index[_conjugate(m, conj)] for m in stabs] for conj in conjugations]
     strata = tuple(
         Stratum(
-            subspace=spaces[k],
-            codim=spaces[k].codim,
+            subspace=found[m],
+            codim=found[m].codim,
             stabilizer_order=m.bit_count(),
             covers=tuple(sorted(b.difference(*(below[j] for j in b)))),
         )
-        for k, m, b in zip(found, stabs, below)
+        for m, b in zip(stabs, below)
     )
     return StratificationLattice(strata, orbits(len(strata), moves))
 

@@ -157,6 +157,27 @@ def test_oversized_spec_is_one_error_line(tmp_path, capsys, field, value, bound)
     )
 
 
+@pytest.mark.parametrize("count", [33, 200])
+def test_generator_count_is_one_error_line(tmp_path, capsys, count):
+    identity = [["1" if i == j else "0" for j in range(32)] for i in range(32)]
+    doc = {
+        "name": "many", "dimension": 32, "symplectic_form": "standard",
+        "generators": [identity] * count,
+    }
+    spec = write_json(tmp_path, "spec.json", doc)
+    # the count is checked before any generator is parsed
+    with pytest.raises(ValidationError):
+        parse_group_spec(doc)
+    start = time.perf_counter()
+    assert main(["analyze", spec]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", "error: generators: %d is over the maximum 32\n" % count
+    )
+    doc["generators"] = [identity] * 32
+    assert len(parse_group_spec(doc).generators) == 32
+
+
 def test_analyze_report_is_deterministic(tmp_path, capsys):
     spec = write_json(tmp_path, "spec.json", BLOCK_SWAP)
     main(["analyze", "--json", "--strata", spec])
@@ -215,6 +236,22 @@ def test_semismall_rejects_fibers_it_would_misread(
     path.write_text(fibers)
     assert main(["semismall", spec, str(path)]) == 1
     assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_semismall_reads_fibers_before_building_the_lattice(
+    tmp_path, capsys, monkeypatch
+):
+    def no_lattice(group):
+        raise AssertionError("the lattice was built before the fibers were read")
+
+    monkeypatch.setattr("sympref.cli.build_lattice", no_lattice)
+    spec = write_json(tmp_path, "spec.json", BLOCK_SWAP)
+    path = tmp_path / "fibers.json"
+    path.write_text('{"fibers": {"00": 0}}')
+    assert main(["semismall", spec, str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: stratum index '00' is not written in plain decimal\n"
+    )
 
 
 def test_double_writes_a_loadable_spec(tmp_path, capsys):

@@ -143,6 +143,31 @@ def test_subspace_intersection_sampled_is_contained_in_both():
         assert cap.dim >= a.dim + b.dim - 4
 
 
+def test_join_dim_is_the_dimension_of_the_sum():
+    rng = random.Random(31)
+    zeta = Cyc(3, [0, 1])
+
+    def vector():
+        return [rng.choice((-1, 0, 1, zeta)) for _ in range(5)]
+
+    for _ in range(20):
+        # both spans draw on one pool of three vectors, so they overlap
+        pool = [vector() for _ in range(3)]
+        a, b = (
+            Subspace.from_spanning(
+                5,
+                rng.sample(pool, rng.randint(0, 3)) + [vector()] * rng.randint(0, 1),
+                3,
+            )
+            for _ in range(2)
+        )
+        total = Subspace.from_spanning(5, list(a.basis) + list(b.basis), 3)
+        assert a.join_dim(b) == b.join_dim(a) == total.dim
+        assert a.join_dim(b) == a.dim + b.dim - a.intersect(b).dim
+    with pytest.raises(DimensionMismatch):
+        Subspace.full(3).join_dim(Subspace.full(4))
+
+
 def test_fixed_space_of_coordinate_swap():
     swap = ExactMatrix.from_rows([[0, 1], [1, 0]])
     fs = fixed_space(swap)

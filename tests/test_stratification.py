@@ -1,16 +1,20 @@
+from collections import Counter
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sympref import stratification
 from sympref.catalog import CATALOG, get_entry
-from sympref.groups import FiniteMatrixGroup
+from sympref.groups import FiniteMatrixGroup, powers
 from sympref.linalg import (
     ExactMatrix,
     Subspace,
     fixed_space,
     standard_symplectic_form,
 )
-from sympref.reflections import double
+from sympref.reflections import census, double, verdict
 from sympref.stratification import (
     FiberDataError,
     MissingFiberData,
@@ -109,14 +113,36 @@ def test_lattice_respects_intersection_closure():
     assert stabs == [1, 2, 2, 4]
 
 
-def test_lattice_adds_a_meet_that_is_no_fixed_space():
+MEET_A = (-1, -1, 1, 1, -1, -1)
+MEET_B = (1, 1, -1, -1, -1, -1)
+
+
+def meet_group():
     # the three fixed spaces of codimension 4 meet pairwise in 0, which
-    # is no element's fixed space but must still appear in the lattice
-    g = FiniteMatrixGroup.closure(
-        6, 1, standard_symplectic_form(6),
-        [diagonal(-1, -1, 1, 1, -1, -1), diagonal(1, 1, -1, -1, -1, -1)],
+    # is no element's fixed space
+    return FiniteMatrixGroup.closure(
+        6, 1, standard_symplectic_form(6), [diagonal(*MEET_A), diagonal(*MEET_B)]
     )
-    lat = build_lattice(g)
+
+
+def meet_group_squared():
+    # two copies of meet_group on C^12, swapped by the last generator:
+    # order 32, 35 strata, 9 of them no element's fixed space, in 5
+    # orbits, some of size 2
+    one = (1,) * 6
+    return FiniteMatrixGroup.closure(
+        12, 1, standard_symplectic_form(12),
+        [
+            diagonal(*MEET_A, *one),
+            diagonal(*MEET_B, *one),
+            perm_matrix([6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5]),
+        ],
+    )
+
+
+def test_lattice_adds_a_meet_that_is_no_fixed_space():
+    # 0 must still appear in the lattice
+    lat = build_lattice(meet_group())
     assert [s.codim for s in lat.strata] == [0, 4, 4, 4, 6]
     assert [s.stabilizer_order for s in lat.strata] == [1, 2, 2, 2, 4]
     assert [s.covers for s in lat.strata] == [(1, 2, 3), (4,), (4,), (4,), ()]
@@ -170,11 +196,19 @@ def reference_lattice(group, spaces):
     return orders, covers, tuple(orbits)
 
 
+SMALL_CATALOG = [e for e in CATALOG if e.expected_order <= 54]
+
+
 @pytest.mark.parametrize(
-    "name", [e.name for e in CATALOG if e.expected_order <= 54]
+    "build",
+    [pytest.param(e.build, id=e.name) for e in SMALL_CATALOG]
+    + [
+        pytest.param(meet_group, id="meet_group"),
+        pytest.param(meet_group_squared, id="meet_group_squared"),
+    ],
 )
-def test_lattice_matches_subspace_recomputation(name):
-    group = get_entry(name).build()
+def test_lattice_matches_subspace_recomputation(build):
+    group = build()
     lat = build_lattice(group)
     spaces = [s.subspace for s in lat.strata]
     keys = [s.key() for s in spaces]
@@ -195,6 +229,92 @@ def test_lattice_matches_subspace_recomputation(name):
     assert [s.stabilizer_order for s in lat.strata] == orders
     assert [s.covers for s in lat.strata] == covers
     assert lat.orbits == orbits
+
+
+def test_lattice_eliminates_once_per_cyclic_subgroup_and_new_meet_orbit(
+    monkeypatch,
+):
+    # x^e has the fixed space of x when e is prime to the order of x,
+    # and a meet found once gives its whole orbit, so build_lattice
+    # needs one fixed_space per cyclic subgroup and one intersect per
+    # orbit of strata that are no element's fixed space
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Subspace, "intersect", counted("intersect", Subspace.intersect))
+    monkeypatch.setattr(
+        stratification, "fixed_space", counted("fixed_space", fixed_space)
+    )
+    builds = {e.name: e.build for e in SMALL_CATALOG}
+    builds.update(meet_group=meet_group, meet_group_squared=meet_group_squared)
+    counts, expected = {}, {}
+    for name, build in builds.items():
+        group = build()
+        calls.clear()
+        lat = build_lattice(group)
+        counts[name] = (calls["fixed_space"], calls["intersect"])
+        cyclic = {frozenset(powers(group, i)) for i in range(group.order)}
+        fixed = {fixed_space(g).key() for g in group.elements}
+        meets = [o for o in lat.orbits if lat.strata[o[0]].subspace.key() not in fixed]
+        expected[name] = (len(cyclic), len(meets))
+    assert counts == expected
+    assert {n: m for n, (_, m) in expected.items() if m} == {
+        "meet_group": 1, "meet_group_squared": 5,
+    }
+
+
+def transvection(v, c, omega):
+    """x -> x + c * omega(v, x) * v, symplectic for omega."""
+    n = len(v)
+    row = [sum(v[k] * omega.entry(k, j) for k in range(n)) for j in range(n)]
+    return ExactMatrix.identity(n, omega.conductor) + ExactMatrix.from_rows(
+        [[c * v[i] * row[j] for j in range(n)] for i in range(n)], omega.conductor
+    )
+
+
+def lattice_invariants(group):
+    lat = build_lattice(group)
+    return (
+        verdict(group).kind,
+        census(group).symplectic_reflection_count,
+        sorted(s.codim for s in lat.strata),
+        sorted(s.stabilizer_order for s in lat.strata),
+        sorted(
+            (lat.strata[o[0]].codim, lat.strata[o[0]].stabilizer_order, len(o))
+            for o in lat.orbits
+        ),
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    entry=st.sampled_from([e for e in CATALOG if e.expected_order <= 24]),
+    moves=st.lists(
+        st.tuples(st.lists(st.sampled_from((-1, 0, 1)), min_size=8, max_size=8),
+                  st.sampled_from((-1, 1))),
+        min_size=1, max_size=3,
+    ),
+)
+def test_lattice_invariants_survive_a_symplectic_change_of_basis(entry, moves):
+    # P, a product of transvections, is an integer symplectic matrix,
+    # so P G P^-1 is the same group acting on the same space in a dense
+    # basis: its verdict, reflections and strata must not change
+    group = entry.build()
+    n, omega = group.dimension, group.omega
+    p = ExactMatrix.identity(n, group.conductor)
+    for v, c in moves:
+        p = p * transvection(v[:n], c, omega)
+    p_inv = p.inverse()
+    conjugated = FiniteMatrixGroup.closure(
+        n, group.conductor, omega, [p * g * p_inv for g in group.generators]
+    )
+    assert conjugated.order == group.order
+    assert lattice_invariants(conjugated) == lattice_invariants(group)
 
 
 def test_parse_fiber_data():
