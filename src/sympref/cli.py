@@ -162,7 +162,7 @@ def _cmd_spectrum(args) -> int:
         raw = _read_file(args.theta)
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError("invalid JSON: %s" % exc) from None
         if not isinstance(payload, dict) or "theta" not in payload:
             raise ValidationError('spectrum input needs a "theta" matrix')

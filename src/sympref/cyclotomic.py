@@ -377,8 +377,13 @@ class CyclotomicNumber:
         return self.promote(common).coeffs == other.promote(common).coeffs
 
     def __hash__(self):
+        # a rational value hashes as its Fraction, so that it agrees with
+        # the ints and Fractions it equals; both hashes are invariant
+        # under promotion
         if self._hash is None:
+            rational = self.rational_value()
             self._hash = hash(
+                rational if rational is not None else
                 (self.normalized_trace(), (self * self).normalized_trace())
             )
         return self._hash

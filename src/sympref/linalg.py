@@ -1,6 +1,12 @@
 """Exact linear algebra over cyclotomic fields.
 
 Matrices are dense and immutable, with entries in a single Q(zeta_m).
+Conductors are reconciled only where values enter: at parsing, in
+`ExactMatrix.from_rows` (the lcm of its entries), and in group closure
+and membership.  Other mixed operands raise `ConductorMismatch`.
+Matrices compare entrywise, across conductors as scalars do; subspaces
+of different conductors are unequal.
+
 Elimination uses the first nonzero entry in a column as the pivot; over
 an exact field any nonzero pivot is as good as any other, and the fixed
 choice makes every reduced echelon form (and hence every Subspace)
@@ -12,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber, euler_phi
+from .cyclotomic import ConductorMismatch, CyclotomicNumber
 
 
 class DimensionMismatch(ValueError):
@@ -27,9 +33,16 @@ class BadForm(ValueError):
     """A claimed symplectic form is not antisymmetric or not invertible."""
 
 
+def _same_conductor(a: int, b: int) -> int:
+    if a != b:
+        raise ConductorMismatch("conductors %d and %d differ" % (a, b))
+    return a
+
+
 def _coerce_entry(value, conductor):
     if isinstance(value, CyclotomicNumber):
-        return value.promote(conductor)
+        _same_conductor(value.conductor, conductor)
+        return value
     return CyclotomicNumber.rational(Fraction(value), conductor)
 
 
@@ -63,7 +76,9 @@ class ExactMatrix:
                 if isinstance(v, CyclotomicNumber):
                     target = math.lcm(target, v.conductor)
         entries = [
-            _coerce_entry(v, target) for row in row_lists for v in row
+            v.promote(target) if isinstance(v, CyclotomicNumber)
+            else _coerce_entry(v, target)
+            for row in row_lists for v in row
         ]
         return cls(rows, cols, target, entries)
 
@@ -107,10 +122,6 @@ class ExactMatrix:
             [e.promote(conductor) for e in self.entries],
         )
 
-    def _common(self, other: "ExactMatrix"):
-        m = math.lcm(self.conductor, other.conductor)
-        return self.promote(m), other.promote(m)
-
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -119,10 +130,10 @@ class ExactMatrix:
                 "cannot multiply %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        a, b = self._common(other)
-        n, k, m = a.rows, a.cols, b.cols
-        ae, be = a.entries, b.entries
-        zero = CyclotomicNumber.zero(a.conductor)
+        conductor = _same_conductor(self.conductor, other.conductor)
+        n, k, m = self.rows, self.cols, other.cols
+        ae, be = self.entries, other.entries
+        zero = CyclotomicNumber.zero(conductor)
         out = []
         for i in range(n):
             arow = ae[i * k : (i + 1) * k]
@@ -135,17 +146,17 @@ class ExactMatrix:
                         if y:
                             acc = acc + x * y
                 out.append(acc)
-        return ExactMatrix(n, m, a.conductor, out)
+        return ExactMatrix(n, m, conductor, out)
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        a, b = self._common(other)
         return ExactMatrix(
-            a.rows, a.cols, a.conductor,
-            [x + y for x, y in zip(a.entries, b.entries)],
+            self.rows, self.cols,
+            _same_conductor(self.conductor, other.conductor),
+            [x + y for x, y in zip(self.entries, other.entries)],
         )
 
     def __sub__(self, other):
@@ -160,14 +171,9 @@ class ExactMatrix:
         )
 
     def scale(self, scalar) -> "ExactMatrix":
-        s = _coerce_entry(scalar, self.conductor) if not isinstance(
-            scalar, CyclotomicNumber
-        ) else scalar
-        m = math.lcm(self.conductor, s.conductor)
-        s = s.promote(m)
-        a = self.promote(m)
+        s = _coerce_entry(scalar, self.conductor)
         return ExactMatrix(
-            a.rows, a.cols, m, [s * e for e in a.entries]
+            self.rows, self.cols, self.conductor, [s * e for e in self.entries]
         )
 
     def transpose(self) -> "ExactMatrix":
@@ -275,10 +281,7 @@ class ExactMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if self.conductor == other.conductor:
-            return self.entries == other.entries
-        a, b = self._common(other)
-        return a.entries == b.entries
+        return self.entries == other.entries
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(self.entries)))
@@ -358,19 +361,14 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors, conductor: int = 1) -> "Subspace":
-        target = conductor
-        for vec in vectors:
-            if len(vec) != ambient_dim:
-                raise DimensionMismatch("spanning vector of wrong length")
-            for v in vec:
-                if isinstance(v, CyclotomicNumber):
-                    target = math.lcm(target, v.conductor)
+        if any(len(vec) != ambient_dim for vec in vectors):
+            raise DimensionMismatch("spanning vector of wrong length")
         work = [
-            [_coerce_entry(v, target) for v in vec] for vec in vectors
+            [_coerce_entry(v, conductor) for v in vec] for vec in vectors
         ]
         pivots = _row_reduce(work)
         basis = tuple(tuple(work[i]) for i in range(len(pivots)))
-        return cls(ambient_dim, target, basis, tuple(pivots))
+        return cls(ambient_dim, conductor, basis, tuple(pivots))
 
     @classmethod
     def full(cls, ambient_dim: int, conductor: int = 1) -> "Subspace":
@@ -387,27 +385,13 @@ class Subspace:
     def codim(self) -> int:
         return self.ambient_dim - len(self.basis)
 
-    def promote(self, conductor: int) -> "Subspace":
-        if conductor == self.conductor:
-            return self
-        return Subspace.from_spanning(
-            self.ambient_dim,
-            [[v.promote(conductor) for v in vec] for vec in self.basis],
-            conductor,
-        )
-
     def _residual(self, vector) -> list:
         """The vector minus its projection along the echelon rows: zero
         exactly when the vector lies in the subspace."""
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        m = self.conductor
-        for v in vector:
-            if isinstance(v, CyclotomicNumber):
-                m = math.lcm(m, v.conductor)
-        space = self.promote(m)
-        residual = [_coerce_entry(v, m) for v in vector]
-        for row, p in zip(space.basis, space._pivots):
+        residual = [_coerce_entry(v, self.conductor) for v in vector]
+        for row, p in zip(self.basis, self._pivots):
             f = residual[p]
             if f:
                 residual = [a - f * b for a, b in zip(residual, row)]
@@ -421,6 +405,7 @@ class Subspace:
         against the larger one's echelon rows, added to its dimension."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
+        _same_conductor(self.conductor, other.conductor)
         if self.dim < other.dim:
             return other.join_dim(self)
         residuals = [self._residual(vec) for vec in other.basis]
@@ -429,6 +414,7 @@ class Subspace:
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
+        _same_conductor(self.conductor, other.conductor)
         if self.dim > other.dim:
             return False
         return all(other.contains_vector(vec) for vec in self.basis)
@@ -438,18 +424,17 @@ class Subspace:
         A u + B v = 0 exactly when A u lies in both spans."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        m = math.lcm(self.conductor, other.conductor)
-        a, b = self.promote(m), other.promote(m)
-        if a.dim == 0 or b.dim == 0:
+        m = _same_conductor(self.conductor, other.conductor)
+        if self.dim == 0 or other.dim == 0:
             return Subspace.from_spanning(self.ambient_dim, [], m)
         stacked = ExactMatrix.from_columns(
-            [list(v) for v in a.basis] + [list(v) for v in b.basis], m
+            [list(v) for v in self.basis] + [list(v) for v in other.basis], m
         )
         combos = stacked.kernel()
         vectors = []
         for coeff in combos.basis:
             vec = [CyclotomicNumber.zero(m)] * self.ambient_dim
-            for c, bas in zip(coeff[: a.dim], a.basis):
+            for c, bas in zip(coeff[: self.dim], self.basis):
                 if c:
                     vec = [x + c * y for x, y in zip(vec, bas)]
             vectors.append(vec)
@@ -472,19 +457,10 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.conductor != other.conductor:
-            m = math.lcm(self.conductor, other.conductor)
-            return self.promote(m) == other.promote(m)
-        return self.key() == other.key()
+        return (self.conductor, self.key()) == (other.conductor, other.key())
 
     def __hash__(self):
-        # entry hashes are promotion-invariant, and the canonical basis
-        # is preserved by promotion, so this agrees with __eq__ across
-        # conductors
-        return hash((
-            self.ambient_dim,
-            tuple(tuple(hash(v) for v in vec) for vec in self.basis),
-        ))
+        return hash((self.conductor, self.key()))
 
     def __repr__(self):
         return "Subspace(dim %d of C^%d)" % (self.dim, self.ambient_dim)

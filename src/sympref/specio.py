@@ -92,7 +92,10 @@ def _parse_rational(value, path) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             _fail(path, "malformed rational %r" % value)
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # over Python's limit on integer digits
+            _fail(path, "rational of %d characters is too long" % len(value))
     _fail(path, "expected a rational, got %s" % type(value).__name__)
 
 
@@ -150,7 +153,9 @@ def parse_group_spec(document) -> GroupSpecDocument:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # besides malformed JSON: an integer over Python's limit on
+            # digits, or arrays nested past the recursion limit
             raise ParseError("invalid JSON: %s" % exc) from None
     if not isinstance(document, dict):
         raise ValidationError("top level must be a JSON object")

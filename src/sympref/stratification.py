@@ -193,7 +193,10 @@ def parse_fiber_data(document) -> dict[int, int]:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+        except FiberDataError:
+            raise
+        except (ValueError, RecursionError) as exc:
+            # as for group specs: also oversized integers and deep nesting
             raise FiberDataError("invalid JSON: %s" % exc) from None
     if not isinstance(document, dict):
         raise FiberDataError("fiber document must be a JSON object")

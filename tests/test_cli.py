@@ -117,6 +117,43 @@ def test_undecodable_file_is_one_error_line(tmp_path, capsys, command):
     )
 
 
+HUGE = "1" * 5000  # over Python's 4300-digit limit on integer strings
+DEEP = "[" * 100000 + "]" * 100000  # past the recursion limit
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("analyze", '{"name": "x", "dimension": %s}' % HUGE, "invalid JSON: "),
+        (
+            "analyze",
+            json.dumps({**SHEAR, "generators": [[[HUGE + "/3", "0"], ["0", "1"]]]}),
+            "generators[0][0][0]: rational of 5002 characters is too long",
+        ),
+        ("analyze", DEEP, "invalid JSON: "),
+        ("semismall", DEEP, "invalid JSON: "),
+        ("semismall", '{"fibers": {"0": %s}}' % HUGE, "invalid JSON: "),
+        ("spectrum", DEEP, "invalid JSON: "),
+    ],
+    ids=[
+        "analyze-long-integer", "analyze-long-rational", "analyze-deep",
+        "semismall-deep", "semismall-long-integer", "spectrum-deep",
+    ],
+)
+def test_hostile_json_is_one_error_line(tmp_path, capsys, command, text, message):
+    # for semismall the fiber file is the hostile one
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [command, str(path)]
+    if command == "semismall":
+        argv.insert(1, write_json(tmp_path, "spec.json", BLOCK_SWAP))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + message)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_analyze_order_bound(tmp_path, capsys):
     spec = write_json(tmp_path, "spec.json", SHEAR)
     assert main(["analyze", "--max-order", "64", spec]) == 2

@@ -189,6 +189,12 @@ def test_hash_is_invariant_under_promotion():
         assert a == b
         assert hash(a) == hash(b)
     assert hash(Cyc.zeta(4)) == hash(Cyc.zeta(12, 3))
+    # a rational value equals, and so hashes as, its int or Fraction
+    for value in (5, Fraction(-7, 3)):
+        for m in (1, 8):
+            assert Cyc.rational(value, m) == value
+            assert hash(Cyc.rational(value, m)) == hash(value)
+            assert {value: "x"}.get(Cyc.rational(value, m)) == "x"
 
 
 def test_field_axioms_sampled():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sympref.cyclotomic import CyclotomicNumber
+from sympref.cyclotomic import ConductorMismatch, CyclotomicNumber
 from sympref.linalg import (
     BadForm,
     DimensionMismatch,
@@ -256,3 +256,33 @@ def test_matrix_equality_across_conductors():
     b = ExactMatrix.identity(2, 3)
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_mixed_conductor_operands_raise():
+    # conductors are reconciled where values enter (parsing, from_rows,
+    # group closure); past that, mixing them is a caller's error
+    a, b = ExactMatrix.identity(2, 4), ExactMatrix.identity(2, 3)
+    s, t = Subspace.full(2, 4), Subspace.from_spanning(2, [[1, 0]], 3)
+    w = Cyc.zeta(3)
+    for operation in (
+        lambda: a * b,
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a.scale(w),
+        lambda: a.apply([w, 0]),
+        lambda: s.join_dim(t),
+        lambda: t.join_dim(s),
+        lambda: s.is_subspace_of(t),
+        lambda: t.is_subspace_of(s),
+        lambda: s.intersect(t),
+        lambda: s.contains_vector([w, 0]),
+        lambda: Subspace.from_spanning(2, [[w, 0]], 4),
+    ):
+        with pytest.raises(ConductorMismatch):
+            operation()
+    # subspaces of different conductors are different objects, even
+    # when their bases agree entrywise
+    assert Subspace.full(2, 4) != Subspace.full(2, 3)
+    assert a.scale(Cyc.zeta(4)) == ExactMatrix.from_rows(
+        [[Cyc.zeta(4), 0], [0, Cyc.zeta(4)]]
+    )

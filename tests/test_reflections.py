@@ -1,7 +1,7 @@
 import pytest
 
 from sympref import reflections
-from sympref.catalog import CATALOG
+from sympref.catalog import CATALOG, build_imprimitive, build_weyl
 from sympref.cyclotomic import CyclotomicNumber, InvariantViolation
 from sympref.groups import FiniteMatrixGroup, generated_subgroup
 from sympref.linalg import (
@@ -89,6 +89,33 @@ def test_trace_census_matches_elimination_on_the_catalog():
         assert census(g).codims == tuple(
             fixed_space(m).codim for m in g.elements
         ), entry.name
+
+
+@pytest.mark.parametrize(
+    "build, args, exponents",
+    [
+        (build_weyl, ("B", 3), (1, 3, 5)),
+        (build_weyl, ("A", 3), (1, 2, 3)),
+        (build_weyl, ("G2",), (1, 5)),
+        (build_weyl, ("D", 4), (1, 3, 3, 5)),
+        (build_weyl, ("F4",), (1, 5, 7, 11)),
+        (build_imprimitive, (4, 1, 3), (3, 7, 11)),
+        (build_imprimitive, (3, 3, 3), (2, 5, 2)),
+        (build_imprimitive, (4, 2, 2), (3, 3)),
+    ],
+    ids=["B3", "A3", "G2", "D4", "F4", "G(4,1,3)", "G(3,3,3)", "G(4,2,2)"],
+)
+def test_census_meets_the_shephard_todd_product(build, args, exponents):
+    # Shephard and Todd (1954): a finite complex reflection group with
+    # exponents e_i has sum over g of t^(dim V^g) = prod_i (t + e_i)
+    group = build(*args)
+    counts = [0] * (group.dimension + 1)
+    for codim in census(group).codims:
+        counts[group.dimension - codim] += 1
+    product = [1]  # coefficients, lowest degree first
+    for e in exponents:
+        product = [e * a + b for a, b in zip(product + [0], [0] + product)]
+    assert counts == product
 
 
 def test_a_reflection_subgroup_that_is_not_normal_raises(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from collections import Counter
 from functools import reduce
 
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from sympref import stratification
 from sympref.catalog import CATALOG, get_entry
+from sympref.cyclotomic import CyclotomicNumber
 from sympref.groups import FiniteMatrixGroup, powers
 from sympref.linalg import (
     ExactMatrix,
@@ -15,6 +18,7 @@ from sympref.linalg import (
     standard_symplectic_form,
 )
 from sympref.reflections import census, double, verdict
+from sympref.specio import analyze
 from sympref.stratification import (
     FiberDataError,
     MissingFiberData,
@@ -315,6 +319,47 @@ def test_lattice_invariants_survive_a_symplectic_change_of_basis(entry, moves):
     )
     assert conjugated.order == group.order
     assert lattice_invariants(conjugated) == lattice_invariants(group)
+
+
+def galois(mat, k):
+    """The entrywise image of a matrix under the automorphism
+    zeta -> zeta^k of Q(zeta_m), for k prime to m."""
+    m = mat.conductor
+    zero = CyclotomicNumber.zero(m)
+    return ExactMatrix(mat.rows, mat.cols, m, [
+        sum((c * CyclotomicNumber.zeta(m, j * k)
+             for j, c in enumerate(x.coeffs) if c), zero)
+        for x in mat.entries
+    ])
+
+
+def galois_invariants(group):
+    report = analyze(group, with_strata=True)
+    return dataclasses.replace(
+        report, strata=sorted(tuple(sorted(s.items())) for s in report.strata)
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["sl2_binary_icosahedral", "sl2_binary_octahedral", "imprimitive_3_3_3"],
+)
+def test_analysis_is_invariant_under_galois_conjugation(name):
+    # a field automorphism maps G to an isomorphic group and preserves
+    # ranks, so every fixed-space dimension, the verdict and the strata
+    # orbits must come out the same
+    group = get_entry(name).build()
+    m = group.conductor
+    expected = galois_invariants(group)
+    moved = 0
+    for k in (k for k in range(2, m) if math.gcd(k, m) == 1):
+        gens = [galois(g, k) for g in group.generators]
+        moved += gens != list(group.generators)
+        conjugated = FiniteMatrixGroup.closure(
+            group.dimension, m, galois(group.omega, k), gens
+        )
+        assert galois_invariants(conjugated) == expected, k
+    assert moved
 
 
 def test_parse_fiber_data():
