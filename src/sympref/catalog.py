@@ -125,9 +125,7 @@ def _cartan_pairings(family: str, rank: int) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def build_weyl(
-    family: str, rank: int | None = None, max_order: int = DEFAULT_MAX_ORDER
-) -> FiniteMatrixGroup:
+def build_weyl(family: str, rank: int | None = None) -> FiniteMatrixGroup:
     """A Weyl group in its reflection representation on the root basis:
     the plain linear action, with no symplectic form attached."""
     family = family.upper()
@@ -150,11 +148,11 @@ def build_weyl(
             )
 
     order = _weyl_order(family, rank)
-    if order > max_order:
+    if order > DEFAULT_MAX_ORDER:
         raise OrderBoundExceeded(
-            max_order,
+            DEFAULT_MAX_ORDER,
             "the %s%d Weyl group has order %d, over the bound %d"
-            % (family[0], rank, order, max_order),
+            % (family[0], rank, order, DEFAULT_MAX_ORDER),
         )
 
     pairings = _cartan_pairings(family, rank)
@@ -164,16 +162,16 @@ def build_weyl(
         for j in range(rank):
             rows[i][j] = (1 if i == j else 0) - pairings[i][j]
         gens.append(ExactMatrix.from_rows(rows))
-    group = FiniteMatrixGroup.closure(rank, 1, None, gens, max_order)
+    group = FiniteMatrixGroup.closure(rank, 1, None, gens)
     return _checked_order(group, order)
 
 
 @lru_cache(maxsize=None)
 def build_weyl_doubled(
-    family: str, rank: int | None = None, max_order: int = DEFAULT_MAX_ORDER
+    family: str, rank: int | None = None
 ) -> FiniteMatrixGroup:
     """A Weyl group doubled onto C^(2 rank) with the dual pairing form."""
-    return double(build_weyl(family, rank, max_order))
+    return double(build_weyl(family, rank))
 
 
 _SL2_KINDS = (
@@ -267,9 +265,7 @@ def build_sl2_subgroup(kind: str, k: int | None = None) -> FiniteMatrixGroup:
 
 
 @lru_cache(maxsize=None)
-def build_imprimitive(
-    m: int, p: int, n: int, max_order: int = DEFAULT_MAX_ORDER
-) -> FiniteMatrixGroup:
+def build_imprimitive(m: int, p: int, n: int) -> FiniteMatrixGroup:
     """The imprimitive complex reflection group of n x n monomial
     matrices with m-th root of unity entries whose product lies in the
     p-th powers: the plain linear action, with no symplectic form."""
@@ -278,10 +274,11 @@ def build_imprimitive(
             "need m, n >= 1 and p a divisor of m"
         )
     order = m ** n * math.factorial(n) // p
-    if order > max_order:
+    if order > DEFAULT_MAX_ORDER:
         raise OrderBoundExceeded(
-            max_order,
-            "the group has order %d, over the bound %d" % (order, max_order),
+            DEFAULT_MAX_ORDER,
+            "the group has order %d, over the bound %d"
+            % (order, DEFAULT_MAX_ORDER),
         )
     gens = []
     for i in range(n - 1):
@@ -300,16 +297,14 @@ def build_imprimitive(
             rows[0][0] = z
             rows[1][1] = z ** (m - 1)
             gens.append(ExactMatrix.from_rows(rows, m))
-    group = FiniteMatrixGroup.closure(n, m, None, gens, max_order)
+    group = FiniteMatrixGroup.closure(n, m, None, gens)
     return _checked_order(group, order)
 
 
 @lru_cache(maxsize=None)
-def build_imprimitive_doubled(
-    m: int, p: int, n: int, max_order: int = DEFAULT_MAX_ORDER
-) -> FiniteMatrixGroup:
+def build_imprimitive_doubled(m: int, p: int, n: int) -> FiniteMatrixGroup:
     """An imprimitive complex reflection group doubled onto C^(2n)."""
-    return double(build_imprimitive(m, p, n, max_order))
+    return double(build_imprimitive(m, p, n))
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ semismallness failure).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .catalog import CATALOG, ParameterOutOfRange, get_entry
@@ -20,6 +19,7 @@ from .groups import (
     OrderBoundExceeded,
     SingularGenerator,
 )
+from .jsonin import load_json
 from .linalg import BadForm, DimensionMismatch
 from .reflections import VERDICT_HOLDS, double
 from .spectrum import (
@@ -160,10 +160,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_spectrum(args) -> int:
     try:
         raw = _read_file(args.theta)
-        try:
-            payload = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            raise ParseError("invalid JSON: %s" % exc) from None
+        payload = load_json(raw, ParseError)
         if not isinstance(payload, dict) or "theta" not in payload:
             raise ValidationError('spectrum input needs a "theta" matrix')
         values = symplectic_eigenvalues(

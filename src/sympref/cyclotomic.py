@@ -36,82 +36,71 @@ class InvariantViolation(RuntimeError):
     """
 
 
-def divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
-def euler_phi(m: int) -> int:
-    result = m
+@lru_cache(maxsize=None)
+def _primes(m: int) -> tuple[int, ...]:
+    """The distinct prime factors of m, ascending."""
+    primes = []
     p = 2
-    n = m
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
         p += 1
-    if n > 1:
-        result -= result // n
-    return result
+    if m > 1:
+        primes.append(m)
+    return tuple(primes)
+
+
+@lru_cache(maxsize=None)
+def euler_phi(m: int) -> int:
+    for p in _primes(m):
+        m -= m // p
+    return m
 
 
 def mobius(m: int) -> int:
-    result = 1
-    p = 2
-    n = m
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    primes = _primes(m)
+    return (-1) ** len(primes) if math.prod(primes) == m else 0
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den is monic; division is exact by construction (z^m - 1 splits
-    # into cyclotomic factors over Z)
-    num = list(num)
-    dn = len(den) - 1
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
+def _substitute(coeffs, a: int, n: int) -> list[Fraction]:
+    """Coefficients of sum_k c_k z^(k a mod n), a list of length n.
+
+    With n the conductor this is zeta -> zeta^a on Q(zeta_n), unreduced;
+    with n above the degree times a it is the lift p(z) -> p(z^a).
+    """
+    acc = [_ZERO] * n
+    for k, c in enumerate(coeffs):
         if c:
-            quot[i - dn] = c
-            for j in range(len(den)):
-                num[i - dn + j] -= c * den[j]
-    if any(num):
-        raise InvariantViolation("non-exact cyclotomic division")
-    return quot
+            acc[k * a % n] += c
+    return acc
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of the m-th cyclotomic polynomial, ascending."""
+    """Integer coefficients of the m-th cyclotomic polynomial, ascending.
+
+    Built from Phi_1 = z - 1 by lifts z -> z^p for the primes p of m:
+    Phi_(r p)(z) is Phi_r(z^p) when p divides r, else Phi_r(z^p) / Phi_r(z).
+    """
     if m == 1:
         return (-1, 1)
-    num = [-1] + [0] * (m - 1) + [1]  # z^m - 1
-    for d in divisors(m):
-        if d < m:
-            num = _poly_div_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    p = _primes(m)[-1]
+    base = cyclotomic_polynomial(m // p)
+    lift = _substitute(base, p, (len(base) - 1) * p + 1)
+    if (m // p) % p == 0:
+        return tuple(map(int, lift))
+    quot, rem = _poly_divmod(lift, base)
+    if rem:
+        raise InvariantViolation("non-exact cyclotomic division")
+    return tuple(map(int, quot))
 
 
 def _reduce(coeffs, m: int) -> tuple[Fraction, ...]:
     """Reduce a coefficient list modulo the m-th cyclotomic polynomial."""
-    phi = euler_phi(m)
     mod = cyclotomic_polynomial(m)
+    phi = len(mod) - 1
     cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     for i in range(len(cs) - 1, phi - 1, -1):
         c = cs[i]
@@ -193,9 +182,7 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, conductor: int, power: int = 1) -> "CyclotomicNumber":
         """zeta_m^power as an element of Q(zeta_m)."""
-        power %= conductor
-        acc = [_ZERO] * (power + 1)
-        acc[power] = _ONE
+        acc = _substitute((_ZERO, _ONE), power, conductor)
         return cls(conductor, _reduce(acc, conductor))
 
     def is_zero(self) -> bool:
@@ -327,11 +314,7 @@ class CyclotomicNumber:
         m = self.conductor
         if m <= 2:
             return self
-        acc = [_ZERO] * m
-        for k, c in enumerate(self.coeffs):
-            if c:
-                acc[(m - k) % m] += c
-        return CyclotomicNumber(m, _reduce(acc, m))
+        return CyclotomicNumber(m, _reduce(_substitute(self.coeffs, -1, m), m))
 
     def promote(self, conductor: int) -> "CyclotomicNumber":
         """The same field element expressed in Q(zeta_conductor)."""
@@ -342,11 +325,7 @@ class CyclotomicNumber:
             raise NotASubfield(
                 "Q(zeta_%d) is not a subfield of Q(zeta_%d)" % (m, conductor)
             )
-        ratio = conductor // m
-        acc = [_ZERO] * ((len(self.coeffs) - 1) * ratio + 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                acc[k * ratio] += c
+        acc = _substitute(self.coeffs, conductor // m, conductor)
         return CyclotomicNumber(conductor, _reduce(acc, conductor))
 
     def normalized_trace(self) -> Fraction:

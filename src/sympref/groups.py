@@ -107,10 +107,18 @@ def _checked_trace(x: ExactMatrix, bound: int) -> CyclotomicNumber:
         reason = "equals the dimension, but the element is not the identity"
     else:
         return t
+    # shown only when short: str() of a coefficient over Python's limit
+    # on integer digits raises, and a long one would flood the error line
+    small = all(
+        abs(c.numerator) < 10**12 and c.denominator < 10**12 for c in t.coeffs
+    )
+    text = str(t) if small else ""
+    shown = (
+        "trace " + text if 0 < len(text) <= 60 else "a trace too long to show"
+    )
     raise OrderBoundExceeded(
         bound,
-        "the group is infinite: an element has trace %s, which %s"
-        % (t, reason),
+        "the group is infinite: an element has %s, which %s" % (shown, reason),
     )
 
 

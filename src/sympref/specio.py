@@ -32,6 +32,7 @@ from .groups import (
     FiniteMatrixGroup,
     conjugacy_classes,
 )
+from .jsonin import load_json
 from .linalg import BadForm, ExactMatrix, check_form, standard_symplectic_form
 from .reflections import (
     census,
@@ -151,12 +152,7 @@ def _parse_matrix(value, dimension, conductor, path) -> ExactMatrix:
 def parse_group_spec(document) -> GroupSpecDocument:
     """Parse and validate a group specification document."""
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except (ValueError, RecursionError) as exc:
-            # besides malformed JSON: an integer over Python's limit on
-            # digits, or arrays nested past the recursion limit
-            raise ParseError("invalid JSON: %s" % exc) from None
+        document = load_json(document, ParseError)
     if not isinstance(document, dict):
         raise ValidationError("top level must be a JSON object")
     extra = set(document) - {

@@ -26,11 +26,11 @@ fiber-dimension data.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .groups import FiniteMatrixGroup, orbits, powers
+from .jsonin import load_json
 from .linalg import Subspace, fixed_space
 
 
@@ -191,13 +191,9 @@ def parse_fiber_data(document) -> dict[int, int]:
     form {"fibers": {"<stratum index>": dimension, ...}}.  An index is
     written in plain decimal, and given at most once."""
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document, object_pairs_hook=_unique_keys)
-        except FiberDataError:
-            raise
-        except (ValueError, RecursionError) as exc:
-            # as for group specs: also oversized integers and deep nesting
-            raise FiberDataError("invalid JSON: %s" % exc) from None
+        document = load_json(
+            document, FiberDataError, object_pairs_hook=_unique_keys
+        )
     if not isinstance(document, dict):
         raise FiberDataError("fiber document must be a JSON object")
     if "fibers" not in document:
@@ -207,6 +203,12 @@ def parse_fiber_data(document) -> dict[int, int]:
         raise FiberDataError('"fibers" must map stratum indices to dimensions')
     fibers = {}
     for key, value in raw.items():
+        if isinstance(key, str) and len(key) > 20:
+            # a longer index names no stratum, and would flood the error line
+            raise FiberDataError(
+                "stratum index %r... has %d characters, too many for an index"
+                % (key[:20], len(key))
+            )
         try:
             idx = int(key)
         except (TypeError, ValueError):

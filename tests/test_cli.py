@@ -133,11 +133,16 @@ DEEP = "[" * 100000 + "]" * 100000  # past the recursion limit
         ("analyze", DEEP, "invalid JSON: "),
         ("semismall", DEEP, "invalid JSON: "),
         ("semismall", '{"fibers": {"0": %s}}' % HUGE, "invalid JSON: "),
+        ("semismall", '{"fibers": {"0": -%s}}' % HUGE, "invalid JSON: "),
+        ("semismall", json.dumps({"fibers": {HUGE: 0}}), "stratum index '11"),
         ("spectrum", DEEP, "invalid JSON: "),
+        ("spectrum", '{"theta": [[%s]]}' % HUGE, "invalid JSON: "),
     ],
     ids=[
         "analyze-long-integer", "analyze-long-rational", "analyze-deep",
-        "semismall-deep", "semismall-long-integer", "spectrum-deep",
+        "semismall-deep", "semismall-long-integer",
+        "semismall-long-negative-integer", "semismall-long-key",
+        "spectrum-deep", "spectrum-long-integer",
     ],
 )
 def test_hostile_json_is_one_error_line(tmp_path, capsys, command, text, message):
@@ -151,7 +156,8 @@ def test_hostile_json_is_one_error_line(tmp_path, capsys, command, text, message
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: " + message)
-    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
+    assert "sys.set_int_max_str_digits" not in err
 
 
 def test_analyze_order_bound(tmp_path, capsys):
@@ -168,6 +174,26 @@ def test_analyze_infinite_group_is_one_error_line(tmp_path, capsys):
         "error: the group is infinite: an element has trace 2, which "
         "equals the dimension, but the element is not the identity\n",
     )
+
+
+@pytest.mark.parametrize("digits", [300, 2200])
+def test_infinite_group_with_a_huge_trace_is_one_short_error_line(tmp_path, digits):
+    # diag(a, 1/a) has trace a + 1/a; at 2200 digits its numerator is over
+    # Python's limit on integer digits, so str() of it raises
+    a = "3" * digits
+    spec = write_json(tmp_path, "spec.json", {
+        "name": "x", "dimension": 2, "symplectic_form": "standard",
+        "generators": [[[a, 0], [0, "1/" + a]]],
+    })
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympref.cli", "analyze", spec],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the group is infinite: ")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from sympref.cyclotomic import (
     euler_phi,
     mobius,
 )
+from sympref.specio import MAX_CONDUCTOR
 
 Cyc = CyclotomicNumber
 
@@ -49,6 +50,51 @@ def test_euler_phi_and_mobius():
     assert [mobius(m) for m in range(1, 11)] == [
         1, -1, -1, 0, -1, 1, -1, 0, 0, 1,
     ]
+
+
+def _brute_mobius(m):
+    if any(m % (k * k) == 0 for k in range(2, m + 1)):
+        return 0
+    primes = [
+        p for p in range(2, m + 1)
+        if m % p == 0 and all(p % q for q in range(2, p))
+    ]
+    return (-1) ** len(primes)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _mobius_product(m):
+    # prod over d | m of (z^d - 1)^mu(m/d): the factors with mu = 1 over
+    # those with mu = -1, divided exactly (the divisor is monic)
+    num, den = [1], [1]
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        mu = _brute_mobius(m // d)
+        factor = [-1] + [0] * (d - 1) + [1]
+        if mu == 1:
+            num = _poly_mul(num, factor)
+        elif mu == -1:
+            den = _poly_mul(den, factor)
+    quot = [0] * (len(num) - len(den) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = num[i + len(den) - 1]
+        for j, c in enumerate(den):
+            num[i + j] -= quot[i] * c
+    assert not any(num)
+    return tuple(quot)
+
+
+def test_number_theory_matches_brute_force_for_every_admitted_conductor():
+    for m in range(1, MAX_CONDUCTOR + 1):
+        assert cyclotomic_polynomial(m) == _mobius_product(m), m
+        assert euler_phi(m) == sum(math.gcd(k, m) == 1 for k in range(1, m + 1)), m
+        assert mobius(m) == _brute_mobius(m), m
 
 
 def test_addition_frozen_values():
