@@ -96,7 +96,13 @@ def _load_group(args):
 
 
 def _cmd_analyze(args) -> int:
-    group = _load_group(args)
+    doc = parse_group_spec(_read_file(args.spec))
+    if doc.symplectic_form is None:
+        return _error(
+            "analysis needs a symplectic form to preserve; add one to the "
+            "input document, or double the linear action first"
+        )
+    group = make_group(doc, args.max_order)
     report = analyze(group, with_strata=args.strata)
     rendered = report_to_json(report) if args.json else report_to_text(report)
     sys.stdout.write(rendered)

@@ -11,6 +11,10 @@ Elimination uses the first nonzero entry in a column as the pivot; over
 an exact field any nonzero pivot is as good as any other, and the fixed
 choice makes every reduced echelon form (and hence every Subspace)
 canonical: two subspaces are equal iff their stored bases are identical.
+
+Derived operations reuse the core ones.  Every product, `apply` and
+meets included, goes through the one matrix product, and a meet comes
+from the same residuals against an echelon basis as `join_dim`.
 """
 
 from __future__ import annotations
@@ -98,12 +102,7 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, column_vectors, conductor: int = 1) -> "ExactMatrix":
-        cols = len(column_vectors)
-        rows = len(column_vectors[0]) if cols else 0
-        return cls.from_rows(
-            [[column_vectors[j][i] for j in range(cols)] for i in range(rows)],
-            conductor,
-        )
+        return cls.from_rows(column_vectors, conductor).transpose()
 
     def entry(self, i: int, j: int) -> CyclotomicNumber:
         return self.entries[i * self.cols + j]
@@ -184,20 +183,8 @@ class ExactMatrix:
 
     def apply(self, vector) -> tuple:
         """Matrix times a coordinate tuple."""
-        if len(vector) != self.cols:
-            raise DimensionMismatch("vector length mismatch")
-        vec = [_coerce_entry(v, self.conductor) for v in vector]
-        zero = CyclotomicNumber.zero(self.conductor)
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            for j, v in enumerate(vec):
-                if v:
-                    e = self.entry(i, j)
-                    if e:
-                        acc = acc + e * v
-            out.append(acc)
-        return tuple(out)
+        column = [_coerce_entry(v, self.conductor) for v in vector]
+        return (self * ExactMatrix(len(column), 1, self.conductor, column)).entries
 
     def trace(self) -> CyclotomicNumber:
         if self.rows != self.cols:
@@ -208,17 +195,8 @@ class ExactMatrix:
         )
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entry(i, j)
-                if i == j:
-                    if e.rational_value() != 1:
-                        return False
-                elif e:
-                    return False
-        return True
+        # equality compares shapes first
+        return self == ExactMatrix.identity(self.rows, self.conductor)
 
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
@@ -241,9 +219,10 @@ class ExactMatrix:
         work = [
             list(self.row(i)) + list(ident.row(i)) for i in range(n)
         ]
-        pivots = _row_reduce(work, limit=n)
-        if len(pivots) < n:
-            raise SingularMatrix("matrix has rank %d < %d" % (len(pivots), n))
+        # the rank of A is the number of pivots among A's columns of [A | I]
+        rank = sum(1 for p in _row_reduce(work) if p < n)
+        if rank < n:
+            raise SingularMatrix("matrix has rank %d < %d" % (rank, n))
         return ExactMatrix(
             n, n, self.conductor,
             [work[i][n + j] for i in range(n) for j in range(n)],
@@ -306,22 +285,18 @@ class ExactMatrix:
         )
 
 
-def _row_reduce(rows: list[list[CyclotomicNumber]], limit: int | None = None) -> list[int]:
+def _row_reduce(rows: list[list[CyclotomicNumber]]) -> list[int]:
     """In-place reduced row echelon form; returns pivot column indices.
 
     Pivot selection: first row with a nonzero entry in the current
     column.  Deterministic, so the output is canonical for the input.
-    Pivots are only taken from columns below `limit` (for augmented
-    matrices), though elimination still updates the full rows.
     """
     if not rows:
         return []
     nrows, ncols = len(rows), len(rows[0])
-    if limit is None:
-        limit = ncols
     pivots = []
     r = 0
-    for c in range(limit):
+    for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
             if rows[i][c]:
@@ -420,31 +395,27 @@ class Subspace:
         return all(other.contains_vector(vec) for vec in self.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked basis columns:
-        A u + B v = 0 exactly when A u lies in both spans."""
+        """The residual map against other's echelon rows is linear with
+        kernel other, so the weights c with sum c_i s_i in other, over
+        self's basis s_i, are the kernel of the matrix whose columns are
+        the residuals of the s_i."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         m = _same_conductor(self.conductor, other.conductor)
+        n = self.ambient_dim
         if self.dim == 0 or other.dim == 0:
-            return Subspace.from_spanning(self.ambient_dim, [], m)
-        stacked = ExactMatrix.from_columns(
-            [list(v) for v in self.basis] + [list(v) for v in other.basis], m
-        )
-        combos = stacked.kernel()
-        vectors = []
-        for coeff in combos.basis:
-            vec = [CyclotomicNumber.zero(m)] * self.ambient_dim
-            for c, bas in zip(coeff[: self.dim], self.basis):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, bas)]
-            vectors.append(vec)
-        return Subspace.from_spanning(self.ambient_dim, vectors, m)
+            return Subspace.from_spanning(n, [], m)
+        weights = ExactMatrix.from_columns(
+            [other._residual(vec) for vec in self.basis], m
+        ).kernel()
+        meet = ExactMatrix(
+            weights.dim, self.dim, m, [c for w in weights.basis for c in w]
+        ) * ExactMatrix(self.dim, n, m, [x for vec in self.basis for x in vec])
+        return Subspace.from_spanning(n, meet.row_lists(), m)
 
     def basis_matrix(self) -> ExactMatrix:
         """Basis vectors as the columns of an ambient_dim x dim matrix."""
-        return ExactMatrix.from_columns(
-            [list(v) for v in self.basis], self.conductor
-        )
+        return ExactMatrix.from_columns(self.basis, self.conductor)
 
     def key(self):
         if self._key is None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber, NotASubfield, euler_phi
@@ -210,18 +210,8 @@ def parse_group_spec(document) -> GroupSpecDocument:
 def _scalar_to_json(value: CyclotomicNumber):
     rational = value.rational_value()
     if rational is not None:
-        return (
-            str(rational.numerator)
-            if rational.denominator == 1
-            else str(rational)
-        )
-    return {
-        "conductor": value.conductor,
-        "coeffs": [
-            str(c.numerator) if c.denominator == 1 else str(c)
-            for c in value.coeffs
-        ],
-    }
+        return str(rational)
+    return {"conductor": value.conductor, "coeffs": [str(c) for c in value.coeffs]}
 
 
 def _matrix_to_json(mat: ExactMatrix):
@@ -315,18 +305,8 @@ def analyze(group: FiniteMatrixGroup, with_strata: bool = False) -> AnalysisRepo
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    payload = {
-        "group_order": report.group_order,
-        "reflection_count": report.reflection_count,
-        "reflection_conjugacy_class_count": report.reflection_conjugacy_class_count,
-        "g0_order": report.g0_order,
-        "g0_index": report.g0_index,
-        "verdict": report.verdict,
-        "dim2_duval_note": report.dim2_duval_note,
-        "z_min_codim": report.z_min_codim,
-        "strata": list(report.strata) if report.strata is not None else None,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    # the field order is the key order
+    return json.dumps(asdict(report), indent=2) + "\n"
 
 
 def report_to_text(report: AnalysisReport) -> str:

@@ -16,6 +16,8 @@ importing the package (and every other command) never loads numpy.
 
 from __future__ import annotations
 
+import math
+
 DEFAULT_INPUT_TOL = 1e-12
 DEFAULT_PAIR_TOL = 1e-8
 
@@ -116,8 +118,12 @@ def symplectic_eigenvalues(
     theta must be antisymmetric and metric (identity when omitted)
     Hermitian positive definite, both to input_tol relative, with every
     entry finite.  The paired singular values must agree to pair_tol
-    relative to the largest one, else ToleranceViolation.
+    relative to the largest one, else ToleranceViolation.  Both
+    tolerances must be finite and nonnegative.
     """
+    for name, tol in (("input_tol", input_tol), ("pair_tol", pair_tol)):
+        if not 0 <= tol < math.inf:
+            raise BadInput("%s is %s, not a finite tolerance >= 0" % (name, tol))
     import numpy as np
 
     t = _as_square(theta, "theta")

@@ -14,9 +14,9 @@ subgroup, and their masks one stabilizer per conjugation orbit.  Every
 stratum is a meet of atoms (Orlik and Terao, Arrangements of
 Hyperplanes, 1992), and (g S) ^ A = g (S ^ g^-1 A), so orbit
 representatives are met with the atoms only.  A pair is skipped when
-its masks are comparable, when K_S | K_A is a known mask, or when a
-known stratum with a mask above K_S | K_A (which lies in S ^ A) has the
-dimension of S ^ A, dim S + dim A - dim(S + A).  A new meet is
+K_S | K_A is a known mask (as it is when the masks are comparable), or
+when a known stratum with a mask above K_S | K_A (which lies in S ^ A)
+has the dimension of S ^ A, dim S + dim A - dim(S + A).  A new meet is
 intersected once and its orbit moved by the generator matrices.
 
 Strata are ordered by ascending codimension, then by canonical
@@ -123,7 +123,7 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
         s = found[k]
         for mask, a in atoms:
             both = k | mask
-            if both in (k, mask) or both in found:
+            if both in found:
                 continue
             # a known stratum with a mask above both lies in S ^ A; the
             # meet is known when the largest of them has its dimension

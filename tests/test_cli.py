@@ -329,6 +329,32 @@ def test_double_writes_a_loadable_spec(tmp_path, capsys):
     assert group.omega == pairing_form(3, 1)
 
 
+def test_analyze_refuses_a_spec_without_a_form(tmp_path, capsys):
+    # the verdict is about groups preserving a symplectic form
+    spec = write_json(tmp_path, "spec.json", PERM3)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympref.cli", "analyze", "--strata", spec],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: analysis needs a symplectic form to preserve; add one to the "
+        "input document, or double the linear action first\n"
+    )
+    # the other commands still take a linear action: S3 permuting C^3
+    # has strata C^3, three planes and the line x = y = z
+    fibers = write_json(
+        tmp_path, "fibers.json", {"fibers": {"0": 0, "1": 0, "2": 0, "3": 0, "4": 1}}
+    )
+    assert main(["semismall", spec, fibers]) == 0
+    assert capsys.readouterr().out.endswith("stratum 4: codim 2, fiber 1 -> ok\nsemismall: yes\n")
+    doubled = tmp_path / "doubled.json"
+    assert main(["double", spec, "-o", str(doubled)]) == 0
+    assert main(["analyze", str(doubled)]) == 0
+
+
 def test_double_rejects_a_spec_with_a_form(tmp_path, capsys):
     spec = write_json(tmp_path, "spec.json", BLOCK_SWAP)
     assert main(["double", spec]) == 1
@@ -414,6 +440,19 @@ def test_spectrum_rejects_non_finite_entries(tmp_path, text, message):
     assert proc.stdout == ""
     # the message alone: no numpy RuntimeWarning ahead of it
     assert proc.stderr == "error: %s, not finite\n" % message
+
+
+@pytest.mark.parametrize("option", ["--input-tol", "--pair-tol"])
+@pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+def test_spectrum_rejects_a_tolerance_out_of_range(tmp_path, capsys, option, value, shown):
+    # a symmetric theta: a nan tolerance used to let it through
+    path = write_json(tmp_path, "theta.json", {"theta": [[0, 2], [2, 0]]})
+    assert main(["spectrum", path, option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s is %s, not a finite tolerance >= 0\n" % (
+        option[2:].replace("-", "_"), shown,
+    )
 
 
 def test_spectrum_zero_pair_tolerance(tmp_path, capsys):

@@ -64,6 +64,23 @@ def test_inverse_frozen_values():
 def test_inverse_of_singular_matrix_raises():
     with pytest.raises(SingularMatrix):
         ExactMatrix.from_rows([[1, 1], [1, 1]]).inverse()
+    # a product through C^r has rank at most r; the message names the
+    # rank, counted among the pivots of the left block of [A | I]
+    rng = random.Random(37)
+    zeta = Cyc.zeta(3)
+    n = 4
+    for r in range(n):
+        a = ExactMatrix.zero(n, n, 3)
+        while a.rank() < r:
+            left = ExactMatrix.from_rows(
+                [[rng.choice((-1, 0, 1, zeta)) for _ in range(r)] for _ in range(n)], 3
+            )
+            right = ExactMatrix.from_rows(
+                [[rng.choice((-1, 0, 2, zeta)) for _ in range(n)] for _ in range(r)], 3
+            )
+            a = left * right
+        with pytest.raises(SingularMatrix, match="rank %d < %d" % (r, n)):
+            a.inverse()
 
 
 def test_inverse_round_trip_sampled():
@@ -141,6 +158,50 @@ def test_subspace_intersection_sampled_is_contained_in_both():
         assert cap.is_subspace_of(a)
         assert cap.is_subspace_of(b)
         assert cap.dim >= a.dim + b.dim - 4
+
+
+def stacked_intersection(a, b):
+    # the construction from both bases stacked as columns: A u + B v = 0
+    # exactly when A u lies in both spans
+    m, n = a.conductor, a.ambient_dim
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.from_spanning(n, [], m)
+    combos = ExactMatrix.from_rows(
+        [[vec[i] for vec in a.basis + b.basis] for i in range(n)], m
+    ).kernel()
+    vectors = []
+    for coeff in combos.basis:
+        vec = [Cyc.zero(m)] * n
+        for c, bas in zip(coeff[: a.dim], a.basis):
+            vec = [x + c * y for x, y in zip(vec, bas)]
+        vectors.append(vec)
+    return Subspace.from_spanning(n, vectors, m)
+
+
+@pytest.mark.parametrize("conductor", [3, 4])
+def test_intersection_is_symmetric_and_matches_the_stacked_kernel(conductor):
+    rng = random.Random(41 + conductor)
+    zeta = Cyc.zeta(conductor)
+
+    def vector():
+        return [rng.choice((-1, 0, 0, 1, zeta, -zeta)) for _ in range(6)]
+
+    dims = set()
+    for _ in range(25):
+        # both spans draw on one pool, so the meets are often nonzero
+        pool = [vector() for _ in range(4)]
+        a, b = (
+            Subspace.from_spanning(
+                6,
+                rng.sample(pool, rng.randint(0, 4)) + [vector() for _ in range(rng.randint(0, 2))],
+                conductor,
+            )
+            for _ in range(2)
+        )
+        cap = a.intersect(b)
+        assert cap == b.intersect(a) == stacked_intersection(a, b)
+        dims.add(cap.dim)
+    assert len(dims) >= 3
 
 
 def test_join_dim_is_the_dimension_of_the_sum():
@@ -249,6 +310,32 @@ def test_transpose_and_apply():
     assert a.apply([1, 1]) == (
         Cyc.rational(3), Cyc.rational(7), Cyc.rational(11),
     )
+    rng = random.Random(43)
+    zeta = Cyc.zeta(4)
+    for _ in range(5):
+        b = ExactMatrix.from_rows(
+            [[rng.choice((-2, 0, 1, zeta)) for _ in range(4)] for _ in range(3)], 4
+        )
+        v = [rng.choice((0, 1, -zeta, Fraction(1, 2))) for _ in range(4)]
+        expected = tuple(
+            sum((b.entry(i, j) * v[j] for j in range(4)), Cyc.zero(4))
+            for i in range(3)
+        )
+        assert b.apply(v) == expected
+    with pytest.raises(DimensionMismatch):
+        a.apply([1, 1, 1])
+
+
+def test_is_identity():
+    assert ExactMatrix.identity(3).is_identity()
+    assert ExactMatrix.identity(2, 5).is_identity()
+    assert ExactMatrix.identity(0).is_identity()
+    assert not ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0]]).is_identity()
+    assert not ExactMatrix.from_rows([[1], [0]]).is_identity()
+    assert not ExactMatrix.from_rows([[1, 0], [0, 2]]).is_identity()
+    assert not ExactMatrix.from_rows([[1, 1], [0, 1]]).is_identity()
+    assert not ExactMatrix.from_rows([[Cyc.zeta(3), 0], [0, 1]]).is_identity()
+    assert not ExactMatrix.zero(2, 2).is_identity()
 
 
 def test_matrix_equality_across_conductors():

@@ -133,6 +133,15 @@ def test_bad_input_rejected():
         symplectic_eigenvalues(standard_form(4), np.eye(6))  # size mismatch
 
 
+@pytest.mark.parametrize("name", ["input_tol", "pair_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_tolerances_must_be_finite_and_nonnegative(name, value):
+    with pytest.raises(BadInput, match="%s is" % name):
+        symplectic_eigenvalues(np.array([[0.0, 2.0], [2.0, 0.0]]), **{name: value})
+    # zero is a valid, exacting tolerance
+    assert symplectic_eigenvalues(block_form([2.0]), **{name: 0.0}).tolist() == [2.0]
+
+
 def test_antisymmetry_tolerance_is_relative():
     theta = standard_form(4) * 1e6
     theta[0, 1] += 1e-8  # breaks exact antisymmetry but not relative
