@@ -216,8 +216,8 @@ def build_sl2_subgroup(kind: str, k: int | None = None) -> FiniteMatrixGroup:
         conductor = math.lcm(2 * k, 4)
         z = Cyc.zeta(2 * k)
         gens = [
-            ExactMatrix.from_rows([[z, 0], [0, z ** (2 * k - 1)]], 2 * k),
-            ExactMatrix.from_rows([[0, 1], [-1, 0]]),
+            ExactMatrix.from_rows([[z, 0], [0, z ** (2 * k - 1)]], conductor),
+            ExactMatrix.from_rows([[0, 1], [-1, 0]], conductor),
         ]
         expected = 4 * k
     else:
@@ -285,7 +285,7 @@ def build_imprimitive(m: int, p: int, n: int) -> FiniteMatrixGroup:
         rows = _identity_rows(n)
         rows[i][i] = rows[i + 1][i + 1] = 0
         rows[i][i + 1] = rows[i + 1][i] = 1
-        gens.append(ExactMatrix.from_rows(rows))
+        gens.append(ExactMatrix.from_rows(rows, m))
     if m > 1:
         z = Cyc.zeta(m)
         if p < m:

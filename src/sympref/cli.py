@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success (and, for analyze, verdict holds; for semismall,
-all strata pass), 1 bad input of any kind, 2 group order bound
-exceeded, 3 negative mathematical outcome (obstructed verdict, or a
-semismallness failure).
+all strata pass), 1 bad input of any kind, usage errors included, 2
+group order bound exceeded, 3 negative mathematical outcome (obstructed
+verdict, or a semismallness failure).
 """
 
 from __future__ import annotations
@@ -70,6 +70,16 @@ _INPUT_ERRORS = (
     OSError,
     UnicodeDecodeError,
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with the bad-input
+    code, not argparse's 2, which here means the order bound; its
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
 def _error(message) -> int:
@@ -195,8 +205,8 @@ def _add_max_order(parser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> _Parser:
+    parser = _Parser(
         prog="sympref",
         description=(
             "Exact reflection analysis of finite symplectic matrix groups"

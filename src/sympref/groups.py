@@ -19,6 +19,7 @@ from .cyclotomic import CyclotomicNumber
 from .linalg import (
     DimensionMismatch,
     ExactMatrix,
+    _same_conductor,
     check_form,
     is_symplectic,
 )
@@ -58,16 +59,16 @@ class NotAMember(ValueError):
     """A matrix that is not an element of the group."""
 
 
-def _closure(identity, generators, multiply, max_size):
-    """Breadth-first closure of the identity under x -> x*g, g a generator.
-
-    Handles must be hashable, generators distinct.  Returns the elements
-    in discovery order (identity first), the tables (tables[k][i] is the
-    position of elements[i]*generators[k]) and the Schreier words (the
-    generator positions whose product, left to right, is elements[i]).
+def _closure(start, generators, multiply, max_size):
+    """Breadth-first closure of start under x -> multiply(x, g), g a
+    generator: group closure and generated subgroups start at the
+    identity, `orbits` at a point.  Handles must be hashable.  Returns
+    them in discovery order (start first), the tables (tables[k][i] is
+    the position of multiply(elements[i], generators[k])) and the
+    Schreier words (the generator positions taking start to elements[i]).
     """
-    elements = [identity]
-    position = {identity: 0}
+    elements = [start]
+    position = {start: 0}
     words = [()]
     tables = [[] for _ in generators]
     # elements grows while it is scanned: it is the breadth-first queue
@@ -180,23 +181,19 @@ class FiniteMatrixGroup:
     ) -> "FiniteMatrixGroup":
         gens = []
         for i, g in enumerate(generators):
-            if not isinstance(g, ExactMatrix):
-                g = ExactMatrix.from_rows(g, conductor)
             if g.rows != dimension or g.cols != dimension:
                 raise DimensionMismatch(
                     "generator %d is %dx%d, expected %dx%d"
                     % (i, g.rows, g.cols, dimension, dimension)
                 )
-            g = g.promote(conductor)
+            _same_conductor(g.conductor, conductor)
             if g.rank() < dimension:
                 raise SingularGenerator(i)
             gens.append(g)
         if omega is not None:
-            if not isinstance(omega, ExactMatrix):
-                omega = ExactMatrix.from_rows(omega, conductor)
-            omega = omega.promote(conductor)
             if omega.rows != dimension:
                 raise DimensionMismatch("form has wrong dimension")
+            _same_conductor(omega.conductor, conductor)
             check_form(omega)
             for i, g in enumerate(gens):
                 if not is_symplectic(g, omega):
@@ -257,16 +254,7 @@ class FiniteMatrixGroup:
     def index_of(self, mat: ExactMatrix) -> int:
         if mat.rows != self.dimension or mat.cols != self.dimension:
             raise NotAMember("matrix has the wrong shape for this group")
-        if mat.conductor != self.conductor:
-            if self.conductor % mat.conductor == 0:
-                mat = mat.promote(self.conductor)
-            else:
-                # incompatible conductor tag; fall back to a scan, since
-                # the entries may still lie in a common subfield
-                for i, e in enumerate(self.elements):
-                    if e == mat:
-                        return i
-                raise NotAMember("matrix is not an element of this group")
+        _same_conductor(mat.conductor, self.conductor)
         try:
             return self._index[mat.key()]
         except KeyError:
@@ -392,18 +380,11 @@ def orbits(points: int, moves) -> tuple[tuple[int, ...], ...]:
     permutation given as a sequence (point -> image), as sorted tuples
     ordered by their smallest member.  Moving forward reaches the whole
     orbit: a permutation's inverse is one of its powers."""
-    seen = [False] * points
-    out = []
+    seen, out = set(), []
     for start in range(points):
-        if not seen[start]:
-            seen[start] = True
-            orbit = [start]
-            # orbit grows while it is scanned: it is the breadth-first queue
-            for x in orbit:
-                for move in moves:
-                    if not seen[move[x]]:
-                        seen[move[x]] = True
-                        orbit.append(move[x])
+        if start not in seen:
+            orbit = _closure(start, moves, lambda x, m: m[x], points)[0]
+            seen.update(orbit)
             out.append(tuple(sorted(orbit)))
     return tuple(out)
 

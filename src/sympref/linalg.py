@@ -1,9 +1,9 @@
 """Exact linear algebra over cyclotomic fields.
 
 Matrices are dense and immutable, with entries in a single Q(zeta_m).
-Conductors are reconciled only where values enter: at parsing, in
-`ExactMatrix.from_rows` (the lcm of its entries), and in group closure
-and membership.  Other mixed operands raise `ConductorMismatch`.
+Conductors are reconciled only where scalars become matrices: at
+parsing and in `ExactMatrix.from_rows` (the lcm of its entries).  Any
+other mixed operand raises `ConductorMismatch`, in groups too.
 Matrices compare entrywise, across conductors as scalars do; subspaces
 of different conductors are unequal.
 
@@ -112,14 +112,6 @@ class ExactMatrix:
 
     def row_lists(self) -> list[list[CyclotomicNumber]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def promote(self, conductor: int) -> "ExactMatrix":
-        if conductor == self.conductor:
-            return self
-        return ExactMatrix(
-            self.rows, self.cols, conductor,
-            [e.promote(conductor) for e in self.entries],
-        )
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -415,7 +407,10 @@ class Subspace:
 
     def basis_matrix(self) -> ExactMatrix:
         """Basis vectors as the columns of an ambient_dim x dim matrix."""
-        return ExactMatrix.from_columns(self.basis, self.conductor)
+        return ExactMatrix(
+            self.dim, self.ambient_dim, self.conductor,
+            [x for vec in self.basis for x in vec],
+        ).transpose()
 
     def key(self):
         if self._key is None:

@@ -190,18 +190,18 @@ def double(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     The image group is isomorphic to the original (the map is a
     faithful homomorphism), preserves the dual pairing form, and is
     symplectic of twice the dimension, so no re-closure is needed: the
-    image inherits the group's tables, and each inverse transpose comes
-    from the inverse already in the group.
+    image inherits the group's tables, and each inverse transpose, the
+    generators' included, comes from the inverse already in the group.
     """
     omega = pairing_form(group.dimension, group.conductor)
-    gens = [doubled_element(g) for g in group.generators]
+    images = [
+        _block_diagonal(g, group.element(group.inverse_index(i)).transpose())
+        for i, g in enumerate(group.elements)
+    ]
+    gens = [images[group.index_of(g)] for g in group.generators]
     for i, g in enumerate(gens):
         if not is_symplectic(g, omega):
             raise InvariantViolation(
                 "doubled generator %d does not preserve the pairing form" % i
             )
-    images = [
-        _block_diagonal(g, group.element(group.inverse_index(i)).transpose())
-        for i, g in enumerate(group.elements)
-    ]
     return group.isomorphic_image(images, omega, gens)

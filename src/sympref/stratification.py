@@ -5,8 +5,7 @@ that is the subspaces V^H for subgroups H.  Each stratum S is held with
 its pointwise stabilizer K_S = {g : S lies in V^g} as a bitmask over
 element indices.  S = V^(K_S), so S lies in T exactly when K_T is a
 subset of K_S, the stabilizer order is a popcount, and g S has
-stabilizer g K_S g^-1: covers, orders and orbits (by the shared
-`groups.orbits` routine) need no subspace.
+stabilizer g K_S g^-1: covers, orders and orbits need no subspace.
 
 Elimination runs only where it can find something new.  The atoms,
 the distinct element fixed spaces, take one `fixed_space` per cyclic
@@ -17,7 +16,9 @@ representatives are met with the atoms only.  A pair is skipped when
 K_S | K_A is a known mask (as it is when the masks are comparable), or
 when a known stratum with a mask above K_S | K_A (which lies in S ^ A)
 has the dimension of S ^ A, dim S + dim A - dim(S + A).  A new meet is
-intersected once and its orbit moved by the generator matrices.
+intersected once and its orbit moved by the generator matrices.  Each
+orbit, of atoms or of meets, is walked once, and the lattice reports
+the orbits it walked.
 
 Strata are ordered by ascending codimension, then by canonical
 subspace key, so stratum indices are stable and can be referenced from
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import FiniteMatrixGroup, orbits, powers
+from .groups import FiniteMatrixGroup, powers
 from .jsonin import load_json
 from .linalg import Subspace, fixed_space
 
@@ -98,11 +99,10 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     gens = [group.element(i) for i in group.generator_indices()]
     # the atoms' masks, one stabilizer per conjugation orbit: g V^x is
     # V^(g x g^-1), with pointwise stabilizer g K g^-1
-    masks, reps = {}, []
+    masks, walks = {}, []
     for k in owners:
         if k not in masks:
             masks[k] = stabilizer(spaces[k], owners[k])
-            reps.append(masks[k])
             orbit = [k]
             for a in orbit:
                 x = owners[a].bit_length() - 1  # an element with V^x = a
@@ -111,15 +111,17 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
                     if b not in masks:
                         masks[b] = _conjugate(masks[a], conj)
                         orbit.append(b)
+            walks.append([masks[a] for a in orbit])
 
     # strata by pointwise stabilizer; S = V^(K_S), so a mask names its
     # stratum, and V^(K_S | K_A) is the meet of S and A
     found = {masks[k]: spaces[k] for k in owners}
     atoms = list(found.items())
     # every stratum is a meet of atoms, and (g S) ^ A = g (S ^ g^-1 A),
-    # so it is enough to meet orbit representatives with the atoms;
-    # reps grows while it is scanned
-    for k in reps:
+    # so it is enough to meet each orbit's first member with the atoms;
+    # walks grows while it is scanned
+    for walk in walks:
+        k = walk[0]
         s = found[k]
         for mask, a in atoms:
             both = k | mask
@@ -132,7 +134,6 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
                 continue
             cap = s.intersect(a)
             cap_mask = stabilizer(cap, both)
-            reps.append(cap_mask)
             found[cap_mask] = cap
             orbit = [cap_mask]
             for m in orbit:
@@ -145,6 +146,7 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
                             group.conductor,
                         )
                         orbit.append(image)
+            walks.append(orbit)
 
     stabs = sorted(found, key=lambda m: (found[m].codim, found[m].key()))
     # S_j lies strictly below S_i exactly when K_i is a proper subset of K_j
@@ -152,9 +154,7 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
         {j for j, other in enumerate(stabs) if other != m and other & m == m}
         for m in stabs
     ]
-    # g S has pointwise stabilizer g K_S g^-1
     index = {m: i for i, m in enumerate(stabs)}
-    moves = [[index[_conjugate(m, conj)] for m in stabs] for conj in conjugations]
     strata = tuple(
         Stratum(
             subspace=found[m],
@@ -164,7 +164,8 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
         )
         for m, b in zip(stabs, below)
     )
-    return StratificationLattice(strata, orbits(len(strata), moves))
+    orbits = sorted(tuple(sorted(index[m] for m in walk)) for walk in walks)
+    return StratificationLattice(strata, tuple(orbits))
 
 
 def _conjugate(mask, perm):

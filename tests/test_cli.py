@@ -473,3 +473,38 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "symmetric_n2" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, usage, message",
+    [
+        (["analyze"], "sympref analyze",
+         "the following arguments are required: spec"),
+        (["analyze", "x.json", "--max-order", "abc"], "sympref analyze",
+         "argument --max-order: invalid int value: 'abc'"),
+        (["frob"], "sympref", "argument command: invalid choice: 'frob'"),
+    ],
+)
+def test_usage_errors_are_bad_input_not_the_order_bound(argv, usage, message):
+    # exit 2 means the order bound was exceeded, so argparse's own 2
+    # would be indistinguishable from it
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympref.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    first, second = proc.stderr.splitlines()
+    assert first.startswith("usage: %s " % usage)
+    assert second.startswith("%s: error: %s" % (usage, message))
+
+
+def test_help_still_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympref.cli", "analyze", "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: sympref analyze ")

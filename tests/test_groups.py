@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sympref.catalog import build_entry, build_weyl
-from sympref.cyclotomic import CyclotomicNumber
+from sympref.cyclotomic import ConductorMismatch, CyclotomicNumber
 from sympref.groups import (
     FiniteMatrixGroup,
     NotAMember,
@@ -14,6 +16,7 @@ from sympref.groups import (
     element_order,
     generated_subgroup,
     is_normal,
+    orbits,
     powers,
 )
 from sympref.linalg import BadForm, ExactMatrix, standard_symplectic_form
@@ -38,7 +41,7 @@ def s3_group():
 def quaternion_group():
     i = Cyc.zeta(4)
     gi = ExactMatrix.from_rows([[i, 0], [0, -i]])
-    gj = ExactMatrix.from_rows([[0, 1], [-1, 0]])
+    gj = ExactMatrix.from_rows([[0, 1], [-1, 0]], 4)
     return FiniteMatrixGroup.closure(
         2, 4, standard_symplectic_form(2, 4), [gi, gj]
     )
@@ -49,7 +52,6 @@ def brute_force_closure(dimension, conductor, gens):
     ident = ExactMatrix.identity(dimension, conductor)
     elems = {ident.key(): ident}
     for g in gens:
-        g = g.promote(conductor)
         elems[g.key()] = g
     changed = True
     while changed:
@@ -190,8 +192,9 @@ def test_membership_and_indexing():
     assert not g.is_member(ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(NotAMember):
         g.index_of(ExactMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    # identity carried at an unrelated conductor is still the identity
-    assert g.is_member(ExactMatrix.identity(3, 5))
+    # a matrix at another conductor is a caller's error, not a non-member
+    with pytest.raises(ConductorMismatch):
+        g.is_member(ExactMatrix.identity(3, 5))
 
 
 def test_product_and_inverse_indices():
@@ -269,3 +272,31 @@ def test_conjugacy_classes_partition_the_group():
         assert classes[0] == (g.identity_index,)
         for c in classes:
             assert g.order % len(c) == 0
+
+
+def brute_force_orbits(points, moves):
+    """Independent oracle: grow each point's class under the moves and
+    their inverses until nothing changes."""
+    reach = [{p} for p in range(points)]
+    changed = True
+    while changed:
+        changed = False
+        for r in reach:
+            grown = {m[q] for m in moves for q in r}
+            grown |= {q for m in moves for q in range(points) if m[q] in r}
+            if not grown <= r:
+                r |= grown
+                changed = True
+    return tuple(sorted({tuple(sorted(r)) for r in reach}))
+
+
+@given(
+    st.integers(0, 10).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.permutations(range(n)), max_size=3)
+        )
+    )
+)
+def test_orbits_match_a_brute_force_partition(case):
+    points, moves = case
+    assert orbits(points, moves) == brute_force_orbits(points, moves)

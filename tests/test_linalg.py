@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sympref.cyclotomic import ConductorMismatch, CyclotomicNumber
+from sympref.groups import FiniteMatrixGroup
 from sympref.linalg import (
     BadForm,
     DimensionMismatch,
@@ -304,6 +305,21 @@ def test_form_restriction_nondegeneracy():
     assert form_restriction_nondegenerate(omega, Subspace.full(4))
 
 
+def test_basis_matrix_is_ambient_by_dim():
+    # the zero subspace included: its n x 0 basis still multiplies
+    for n in (3, 4):
+        for vectors in ([], [[1] + [0] * (n - 1)], [[1] * n, [0, 1] + [0] * (n - 2)]):
+            space = Subspace.from_spanning(n, vectors)
+            basis = space.basis_matrix()
+            assert (basis.rows, basis.cols) == (n, space.dim)
+            assert [list(basis.transpose().row(i)) for i in range(space.dim)] == [
+                list(vec) for vec in space.basis
+            ]
+    zero = Subspace.from_spanning(4, []).basis_matrix()
+    gram = zero.transpose() * standard_symplectic_form(4) * zero
+    assert (gram.rows, gram.cols) == (0, 0)
+
+
 def test_transpose_and_apply():
     a = ExactMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
     assert a.transpose() == ExactMatrix.from_rows([[1, 3, 5], [2, 4, 6]])
@@ -346,11 +362,17 @@ def test_matrix_equality_across_conductors():
 
 
 def test_mixed_conductor_operands_raise():
-    # conductors are reconciled where values enter (parsing, from_rows,
-    # group closure); past that, mixing them is a caller's error
+    # conductors are reconciled where scalars become matrices (parsing,
+    # from_rows); past that, mixing them is a caller's error, in group
+    # closure and membership too
     a, b = ExactMatrix.identity(2, 4), ExactMatrix.identity(2, 3)
     s, t = Subspace.full(2, 4), Subspace.from_spanning(2, [[1, 0]], 3)
     w = Cyc.zeta(3)
+    quarter_turn = [[0, 1], [-1, 0]]
+    group = FiniteMatrixGroup.closure(
+        2, 4, standard_symplectic_form(2, 4),
+        [ExactMatrix.from_rows(quarter_turn, 4)],
+    )
     for operation in (
         lambda: a * b,
         lambda: a + b,
@@ -364,6 +386,15 @@ def test_mixed_conductor_operands_raise():
         lambda: s.intersect(t),
         lambda: s.contains_vector([w, 0]),
         lambda: Subspace.from_spanning(2, [[w, 0]], 4),
+        lambda: FiniteMatrixGroup.closure(
+            2, 4, None, [ExactMatrix.from_rows(quarter_turn)]
+        ),
+        lambda: FiniteMatrixGroup.closure(
+            2, 12, standard_symplectic_form(2, 4),
+            [ExactMatrix.from_rows(quarter_turn, 12)],
+        ),
+        lambda: group.index_of(b),
+        lambda: group.is_member(b),
     ):
         with pytest.raises(ConductorMismatch):
             operation()

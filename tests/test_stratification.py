@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from collections import Counter
 from functools import reduce
@@ -8,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympref import stratification
-from sympref.catalog import CATALOG, get_entry
+from sympref.catalog import (
+    CATALOG,
+    build_imprimitive_doubled,
+    build_symmetric_on_squares,
+    build_weyl_doubled,
+    get_entry,
+)
 from sympref.cyclotomic import CyclotomicNumber
 from sympref.groups import FiniteMatrixGroup, powers
 from sympref.linalg import (
@@ -270,6 +277,37 @@ def test_lattice_eliminates_once_per_cyclic_subgroup_and_new_meet_orbit(
     assert {n: m for n, (_, m) in expected.items() if m} == {
         "meet_group": 1, "meet_group_squared": 5,
     }
+
+
+def lattice_digest(lattice):
+    """A short hash of everything a lattice says: each stratum's
+    subspace key and conductor, codimension, stabilizer order and
+    covers, and the orbits."""
+    strata = [
+        (s.subspace.key(), s.subspace.conductor, s.codim, s.stabilizer_order,
+         s.covers)
+        for s in lattice.strata
+    ]
+    return hashlib.sha256(repr((strata, lattice.orbits)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "build, strata, digest",
+    [
+        pytest.param(lambda: build_symmetric_on_squares(5), 52,
+                     "b570a31c9a7b6427", id="S5_on_planes"),
+        pytest.param(lambda: build_imprimitive_doubled(4, 1, 3), 48,
+                     "a129f4818d4f445a", id="G(4,1,3)_doubled"),
+        pytest.param(lambda: build_weyl_doubled("F4"), 268,
+                     "06b1fe1c1cb0a3cb", id="F4_doubled"),
+    ],
+)
+def test_lattice_digests_are_pinned(build, strata, digest):
+    # recorded from an earlier build_lattice: a change to how the lattice
+    # is built must give the same strata, in the same order, with the
+    # same relations
+    lattice = build_lattice(build())
+    assert (len(lattice), lattice_digest(lattice)) == (strata, digest)
 
 
 def transvection(v, c, omega):
