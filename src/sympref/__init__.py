@@ -8,6 +8,7 @@ the 2-form spectrum module works in floating point.
 """
 
 from .cyclotomic import (
+    BadInput,
     ConductorMismatch,
     CyclotomicNumber,
     DivisionByZero,
@@ -67,7 +68,6 @@ from .stratification import (
     semismall_check,
 )
 from .spectrum import (
-    BadInput,
     ToleranceViolation,
     pfaffian,
     symplectic_eigenvalues,

@@ -12,15 +12,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicNumber, InvariantViolation
+from .cyclotomic import BadInput, CyclotomicNumber, InvariantViolation
 from .groups import DEFAULT_MAX_ORDER, FiniteMatrixGroup, OrderBoundExceeded
 from .linalg import ExactMatrix, standard_symplectic_form
 from .reflections import VERDICT_HOLDS, VERDICT_OBSTRUCTED, double
+from .specio import MAX_CONDUCTOR
 
 Cyc = CyclotomicNumber
 
 
-class ParameterOutOfRange(ValueError):
+class ParameterOutOfRange(BadInput):
     """A family parameter outside the supported range."""
 
 
@@ -31,6 +32,21 @@ def _checked_order(group: FiniteMatrixGroup, expected: int) -> FiniteMatrixGroup
             % (group.order, expected)
         )
     return group
+
+
+def _refuse_oversized(order, conductor, what="the group"):
+    """Refuse, before any generator is built, an order over the default
+    bound or a conductor over the one every parsed document meets."""
+    if order > DEFAULT_MAX_ORDER:
+        raise OrderBoundExceeded(
+            DEFAULT_MAX_ORDER,
+            "%s has order %d, over the bound %d"
+            % (what, order, DEFAULT_MAX_ORDER),
+        )
+    if conductor > MAX_CONDUCTOR:
+        raise ParameterOutOfRange(
+            "conductor %d is over the maximum %d" % (conductor, MAX_CONDUCTOR)
+        )
 
 
 def _identity_rows(n):
@@ -148,12 +164,7 @@ def build_weyl(family: str, rank: int | None = None) -> FiniteMatrixGroup:
             )
 
     order = _weyl_order(family, rank)
-    if order > DEFAULT_MAX_ORDER:
-        raise OrderBoundExceeded(
-            DEFAULT_MAX_ORDER,
-            "the %s%d Weyl group has order %d, over the bound %d"
-            % (family[0], rank, order, DEFAULT_MAX_ORDER),
-        )
+    _refuse_oversized(order, 1, "the %s%d Weyl group" % (family[0], rank))
 
     pairings = _cartan_pairings(family, rank)
     gens = []
@@ -206,20 +217,21 @@ def build_sl2_subgroup(kind: str, k: int | None = None) -> FiniteMatrixGroup:
     if kind == "cyclic":
         if k is None or k < 1:
             raise ParameterOutOfRange("cyclic needs k >= 1")
-        conductor = k
+        conductor = expected = k
+        _refuse_oversized(expected, conductor)
         z = Cyc.zeta(k)
         gens = [ExactMatrix.from_rows([[z, 0], [0, z ** (k - 1)]], k)]
-        expected = k
     elif kind == "binary_dihedral":
         if k is None or k < 2:
             raise ParameterOutOfRange("binary dihedral needs k >= 2")
         conductor = math.lcm(2 * k, 4)
+        expected = 4 * k
+        _refuse_oversized(expected, conductor)
         z = Cyc.zeta(2 * k)
         gens = [
             ExactMatrix.from_rows([[z, 0], [0, z ** (2 * k - 1)]], conductor),
             ExactMatrix.from_rows([[0, 1], [-1, 0]], conductor),
         ]
-        expected = 4 * k
     else:
         if k is not None:
             raise ParameterOutOfRange("%s takes no parameter" % kind)
@@ -274,12 +286,7 @@ def build_imprimitive(m: int, p: int, n: int) -> FiniteMatrixGroup:
             "need m, n >= 1 and p a divisor of m"
         )
     order = m ** n * math.factorial(n) // p
-    if order > DEFAULT_MAX_ORDER:
-        raise OrderBoundExceeded(
-            DEFAULT_MAX_ORDER,
-            "the group has order %d, over the bound %d"
-            % (order, DEFAULT_MAX_ORDER),
-        )
+    _refuse_oversized(order, m)
     gens = []
     for i in range(n - 1):
         rows = _identity_rows(n)

@@ -3,7 +3,10 @@
 Exit codes: 0 success (and, for analyze, verdict holds; for semismall,
 all strata pass), 1 bad input of any kind, usage errors included, 2
 group order bound exceeded, 3 negative mathematical outcome (obstructed
-verdict, or a semismallness failure).
+verdict, or a semismallness failure).  Bad input is a usage error, a
+file that cannot be read or decoded as UTF-8, or a BadInput, the one
+class every module's input errors derive from; main() catches nothing
+else.
 """
 
 from __future__ import annotations
@@ -11,27 +14,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import CATALOG, ParameterOutOfRange, get_entry
-from .cyclotomic import ConductorMismatch, NotASubfield
-from .groups import (
-    DEFAULT_MAX_ORDER,
-    NotSymplectic,
-    OrderBoundExceeded,
-    SingularGenerator,
-)
+from .catalog import CATALOG, get_entry
+from .cyclotomic import BadInput
+from .groups import DEFAULT_MAX_ORDER, OrderBoundExceeded
 from .jsonin import load_json
-from .linalg import BadForm, DimensionMismatch
 from .reflections import VERDICT_HOLDS, double
 from .spectrum import (
-    BadInput,
     DEFAULT_INPUT_TOL,
     DEFAULT_PAIR_TOL,
-    ToleranceViolation,
     symplectic_eigenvalues,
 )
 from .specio import (
-    ParseError,
-    ValidationError,
     analyze,
     make_group,
     parse_group_spec,
@@ -40,36 +33,12 @@ from .specio import (
     serialize_group_spec,
     spec_from_group,
 )
-from .stratification import (
-    FiberDataError,
-    MissingFiberData,
-    build_lattice,
-    parse_fiber_data,
-    semismall_check,
-)
+from .stratification import build_lattice, parse_fiber_data, semismall_check
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_ORDER_BOUND = 2
 EXIT_NEGATIVE = 3
-
-_INPUT_ERRORS = (
-    ParseError,
-    ValidationError,
-    BadForm,
-    BadInput,
-    DimensionMismatch,
-    NotSymplectic,
-    SingularGenerator,
-    ConductorMismatch,
-    NotASubfield,
-    ParameterOutOfRange,
-    FiberDataError,
-    MissingFiberData,
-    ToleranceViolation,
-    OSError,
-    UnicodeDecodeError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,11 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
-
-
-def _error(message) -> int:
-    print("error: %s" % message, file=sys.stderr)
-    return EXIT_BAD_INPUT
 
 
 def _read_file(path) -> str:
@@ -108,7 +72,7 @@ def _load_group(args):
 def _cmd_analyze(args) -> int:
     doc = parse_group_spec(_read_file(args.spec))
     if doc.symplectic_form is None:
-        return _error(
+        raise BadInput(
             "analysis needs a symplectic form to preserve; add one to the "
             "input document, or double the linear action first"
         )
@@ -141,7 +105,7 @@ def _cmd_semismall(args) -> int:
 def _cmd_double(args) -> int:
     doc = parse_group_spec(_read_file(args.spec))
     if doc.symplectic_form is not None:
-        return _error(
+        raise BadInput(
             "doubling takes a plain linear action; remove the "
             "symplectic form from the input document"
         )
@@ -174,30 +138,35 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    try:
-        raw = _read_file(args.theta)
-        payload = load_json(raw, ParseError)
-        if not isinstance(payload, dict) or "theta" not in payload:
-            raise ValidationError('spectrum input needs a "theta" matrix')
-        values = symplectic_eigenvalues(
-            payload["theta"],
-            payload.get("metric"),
-            input_tol=args.input_tol,
-            pair_tol=args.pair_tol,
-        )
-    except (TypeError, ValueError) as exc:
-        # beyond the input errors main() handles: numpy's own conversion
-        # and linear algebra failures
-        return _error(exc)
+    payload = load_json(_read_file(args.theta), BadInput)
+    if not isinstance(payload, dict) or "theta" not in payload:
+        raise BadInput('spectrum input needs a "theta" matrix')
+    values = symplectic_eigenvalues(
+        payload["theta"],
+        payload.get("metric"),
+        input_tol=args.input_tol,
+        pair_tol=args.pair_tol,
+    )
     for v in values:
         print("%.12g" % v)
     return EXIT_OK
 
 
+def _positive_int(text) -> int:
+    # argparse's own message for a non-integer; 0 and below are usage errors too
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("%d is not a positive integer" % value)
+    return value
+
+
 def _add_max_order(parser) -> None:
     parser.add_argument(
         "--max-order",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_ORDER,
         metavar="N",
         help="bound on the group order before giving up (default %d)"
@@ -281,8 +250,9 @@ def main(argv=None) -> int:
     except OrderBoundExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ORDER_BOUND
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
+    except (BadInput, OSError, UnicodeDecodeError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -16,11 +16,16 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class ConductorMismatch(ValueError):
+class BadInput(ValueError):
+    """Input the operation cannot take; the CLI reports it as one error
+    line with exit code 1.  Every module's input errors derive from it."""
+
+
+class ConductorMismatch(BadInput):
     """Arithmetic between values of different conductors (promote first)."""
 
 
-class NotASubfield(ValueError):
+class NotASubfield(BadInput):
     """Promotion target conductor is not a multiple of the current one."""
 
 

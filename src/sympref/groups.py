@@ -15,7 +15,7 @@ element of infinite order instead of at the order bound.
 
 from __future__ import annotations
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import BadInput, CyclotomicNumber
 from .linalg import (
     DimensionMismatch,
     ExactMatrix,
@@ -37,7 +37,7 @@ class OrderBoundExceeded(RuntimeError):
         )
 
 
-class SingularGenerator(ValueError):
+class SingularGenerator(BadInput):
     """A generator is not invertible and so generates no group."""
 
     def __init__(self, index):
@@ -45,7 +45,7 @@ class SingularGenerator(ValueError):
         super().__init__("generator %d is singular" % index)
 
 
-class NotSymplectic(ValueError):
+class NotSymplectic(BadInput):
     """A generator fails to preserve the declared symplectic form."""
 
     def __init__(self, index):

@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import ConductorMismatch, CyclotomicNumber
+from .cyclotomic import BadInput, ConductorMismatch, CyclotomicNumber
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(BadInput):
     """Operands have incompatible shapes or ambient dimensions."""
 
 
@@ -33,7 +33,7 @@ class SingularMatrix(ArithmeticError):
     """Inversion of a matrix without full rank."""
 
 
-class BadForm(ValueError):
+class BadForm(BadInput):
     """A claimed symplectic form is not antisymmetric or not invertible."""
 
 

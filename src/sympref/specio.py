@@ -26,7 +26,7 @@ import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber, NotASubfield, euler_phi
+from .cyclotomic import BadInput, CyclotomicNumber, euler_phi
 from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteMatrixGroup,
@@ -54,11 +54,11 @@ MAX_CONDUCTOR = 400
 MAX_GENERATORS = 32
 
 
-class ParseError(ValueError):
+class ParseError(BadInput):
     """The document is not JSON."""
 
 
-class ValidationError(ValueError):
+class ValidationError(BadInput):
     """The document is JSON but not a valid group specification."""
 
 

@@ -6,7 +6,8 @@ theta becomes block-diagonal with blocks lambda_i [[0, 1], [-1, 0]],
 lambda_i >= 0.  The lambda_i are computed by transporting theta to an
 h-orthonormal frame (Cholesky) and reading off the singular values,
 which come in equal pairs; a pairing failure beyond tolerance is
-reported rather than silently averaged away.
+reported rather than silently averaged away.  Every input refused,
+numpy's own conversion and SVD failures included, raises BadInput.
 
 This module is deliberately floating point: the eigenvalues are
 generally irrational even for rational input.  It is the only one that
@@ -18,22 +19,23 @@ from __future__ import annotations
 
 import math
 
+from .cyclotomic import BadInput
+
 DEFAULT_INPUT_TOL = 1e-12
 DEFAULT_PAIR_TOL = 1e-8
 
 
-class BadInput(ValueError):
-    """Input matrix is not of the promised shape or symmetry class."""
-
-
-class ToleranceViolation(ArithmeticError):
+class ToleranceViolation(BadInput, ArithmeticError):
     """Singular values failed to pair up within tolerance."""
 
 
 def _as_square(matrix, name):
     import numpy as np
 
-    a = np.asarray(matrix, dtype=complex)
+    try:
+        a = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadInput("%s: %s" % (name, exc)) from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadInput("%s must be a square matrix" % name)
     return a
@@ -47,6 +49,16 @@ def _require_finite(a, name):
         i, j = bad[0]
         value = a[i, j].real if a[i, j].imag == 0 else a[i, j]
         raise BadInput("%s[%d][%d] is %s, not finite" % (name, i, j, value))
+
+
+def _differs(a, b, tol):
+    """Whether some |a - b| exceeds tol times the largest |a| (at least
+    1); a difference past the float range counts as inf."""
+    import numpy as np
+
+    scale = max(float(np.max(np.abs(a))), 1.0)
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(a - b))) > tol * scale
 
 
 def pfaffian(matrix) -> complex:
@@ -117,9 +129,10 @@ def symplectic_eigenvalues(
 
     theta must be antisymmetric and metric (identity when omitted)
     Hermitian positive definite, both to input_tol relative, with every
-    entry finite.  The paired singular values must agree to pair_tol
-    relative to the largest one, else ToleranceViolation.  Both
-    tolerances must be finite and nonnegative.
+    entry finite, in theta's h-orthonormal frame as well.  The paired
+    singular values must agree to pair_tol relative to the largest one,
+    else ToleranceViolation.  Both tolerances must be finite and
+    nonnegative.
     """
     for name, tol in (("input_tol", input_tol), ("pair_tol", pair_tol)):
         if not 0 <= tol < math.inf:
@@ -131,29 +144,28 @@ def symplectic_eigenvalues(
     n = t.shape[0]
     if n == 0 or n % 2:
         raise BadInput("theta needs even positive dimension, got %d" % n)
-    scale = max(float(np.max(np.abs(t))), 1.0)
-    if float(np.max(np.abs(t + t.T))) > input_tol * scale:
+    if _differs(t, -t.T, input_tol):
         raise BadInput("theta is not antisymmetric to tolerance")
 
-    if metric is None:
-        frame = np.eye(n, dtype=complex)
-    else:
+    if metric is not None:
         h = _as_square(metric, "metric")
         if h.shape[0] != n:
             raise BadInput("metric dimension differs from theta")
         _require_finite(h, "metric")
-        hscale = max(float(np.max(np.abs(h))), 1.0)
-        if float(np.max(np.abs(h - h.conj().T))) > input_tol * hscale:
+        if _differs(h, h.conj().T, input_tol):
             raise BadInput("metric is not Hermitian to tolerance")
         try:
-            chol = np.linalg.cholesky(h)
+            # columns of frame are an h-orthonormal basis
+            frame = np.linalg.inv(np.linalg.cholesky(h).conj().T)
         except np.linalg.LinAlgError:
             raise BadInput("metric is not positive definite") from None
-        # columns of frame are an h-orthonormal basis
-        frame = np.linalg.inv(chol.conj().T)
-
-    transported = frame.T @ t @ frame
-    singular = np.linalg.svd(transported, compute_uv=False)  # descending
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = frame.T @ t @ frame
+        _require_finite(t, "theta in the metric's frame")
+    try:
+        singular = np.linalg.svd(t, compute_uv=False)  # descending
+    except np.linalg.LinAlgError as exc:
+        raise BadInput(str(exc)) from None
     top = float(singular[0]) if n else 0.0
     threshold = pair_tol * max(top, np.finfo(float).tiny)
     pairs = []

@@ -30,16 +30,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cyclotomic import BadInput
 from .groups import FiniteMatrixGroup, powers
 from .jsonin import load_json
 from .linalg import Subspace, fixed_space
 
 
-class FiberDataError(ValueError):
+class FiberDataError(BadInput):
     """Malformed fiber-dimension document."""
 
 
-class MissingFiberData(ValueError):
+class MissingFiberData(BadInput):
     """Fiber dimensions were not supplied for some strata."""
 
     def __init__(self, indices):

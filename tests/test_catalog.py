@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -183,6 +185,41 @@ def test_sl2_cyclic_and_dihedral():
         build_sl2_subgroup("dodecahedral")
     with pytest.raises(ParameterOutOfRange):
         build_sl2_subgroup("binary_tetrahedral", 3)
+
+
+# A builder that does not check its size first runs for minutes; the
+# child caps its address space so that such a run stops at 1 GB.
+OVERSIZED_CHILD = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from sympref import catalog, groups
+start = time.perf_counter()
+try:
+    catalog.%s
+except (catalog.ParameterOutOfRange, groups.OrderBoundExceeded) as exc:
+    print(type(exc).__name__, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("build_sl2_subgroup('cyclic', 100003)", "OrderBoundExceeded"),
+        ("build_sl2_subgroup('binary_dihedral', 30000)", "OrderBoundExceeded"),
+        ("build_sl2_subgroup('cyclic', 99991)", "ParameterOutOfRange"),
+        ("build_imprimitive(401, 1, 1)", "ParameterOutOfRange"),
+    ],
+)
+def test_oversized_builders_refuse_before_building(call, error):
+    # orders over the bound, and conductors over the parser's maximum
+    proc = subprocess.run(
+        [sys.executable, "-c", OVERSIZED_CHILD % call],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    name, seconds = proc.stdout.split()
+    assert name == error
+    assert float(seconds) < 1.0
 
 
 def test_binary_polyhedral_orders_and_conductors():

@@ -118,6 +118,7 @@ def test_undecodable_file_is_one_error_line(tmp_path, capsys, command):
 
 
 HUGE = "1" * 5000  # over Python's 4300-digit limit on integer strings
+LONG = "1" * 400  # under that limit, but past the float range
 DEEP = "[" * 100000 + "]" * 100000  # past the recursion limit
 
 
@@ -137,12 +138,23 @@ DEEP = "[" * 100000 + "]" * 100000  # past the recursion limit
         ("semismall", json.dumps({"fibers": {HUGE: 0}}), "stratum index '11"),
         ("spectrum", DEEP, "invalid JSON: "),
         ("spectrum", '{"theta": [[%s]]}' % HUGE, "invalid JSON: "),
+        (
+            "spectrum",
+            '{"theta": [[0, %s], [-%s, 0]]}' % (LONG, LONG),
+            "theta: int too large to convert to float\n",
+        ),
+        (
+            "spectrum",
+            '{"theta": [[0, 1], [-1, 0]], "metric": [[%s, 0], [0, 1]]}' % LONG,
+            "metric: int too large to convert to float\n",
+        ),
     ],
     ids=[
         "analyze-long-integer", "analyze-long-rational", "analyze-deep",
         "semismall-deep", "semismall-long-integer",
         "semismall-long-negative-integer", "semismall-long-key",
         "spectrum-deep", "spectrum-long-integer",
+        "spectrum-theta-past-float", "spectrum-metric-past-float",
     ],
 )
 def test_hostile_json_is_one_error_line(tmp_path, capsys, command, text, message):
@@ -158,6 +170,31 @@ def test_hostile_json_is_one_error_line(tmp_path, capsys, command, text, message
     assert err.startswith("error: " + message)
     assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
     assert "sys.set_int_max_str_digits" not in err
+
+
+def test_every_input_error_is_a_bad_input():
+    # main() catches BadInput alone, so each module's input errors must
+    # derive from it; bugs and the order bound must not
+    import sympref
+    from sympref import spectrum
+
+    for cls in (
+        sympref.ConductorMismatch, sympref.NotASubfield,
+        sympref.DimensionMismatch, sympref.BadForm,
+        sympref.SingularGenerator, sympref.NotSymplectic,
+        sympref.ParseError, sympref.ValidationError,
+        sympref.FiberDataError, sympref.MissingFiberData,
+        sympref.ParameterOutOfRange, sympref.ToleranceViolation,
+    ):
+        assert issubclass(cls, sympref.BadInput), cls
+        assert issubclass(cls, ValueError), cls
+    assert issubclass(sympref.ToleranceViolation, ArithmeticError)
+    for cls in (
+        sympref.InvariantViolation, sympref.OrderBoundExceeded,
+        sympref.NotAMember, sympref.SingularMatrix, sympref.DivisionByZero,
+    ):
+        assert not issubclass(cls, sympref.BadInput), cls
+    assert spectrum.BadInput is sympref.BadInput
 
 
 def test_analyze_order_bound(tmp_path, capsys):
@@ -426,6 +463,12 @@ def test_spectrum_bad_input(tmp_path, capsys, payload):
             '{"theta": [[0, 1], [-1, 0]], "metric": [[1, 0], [0, -Infinity]]}',
             "metric[1][1] is -inf",
         ),
+        (
+            # finite entries, but theta overflows in the metric's frame
+            '{"theta": [[0, 1e308], [-1e308, 0]], '
+            '"metric": [[1e-308, 0], [0, 1e-308]]}',
+            "theta in the metric's frame[0][0] is (nan+nanj)",
+        ),
     ],
 )
 def test_spectrum_rejects_non_finite_entries(tmp_path, text, message):
@@ -482,6 +525,10 @@ def test_module_entry_point_runs():
          "the following arguments are required: spec"),
         (["analyze", "x.json", "--max-order", "abc"], "sympref analyze",
          "argument --max-order: invalid int value: 'abc'"),
+        (["analyze", "x.json", "--max-order", "0"], "sympref analyze",
+         "argument --max-order: 0 is not a positive integer"),
+        (["analyze", "x.json", "--max-order", "-3"], "sympref analyze",
+         "argument --max-order: -3 is not a positive integer"),
         (["frob"], "sympref", "argument command: invalid choice: 'frob'"),
     ],
 )
