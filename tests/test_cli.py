@@ -525,11 +525,11 @@ def test_module_entry_point_runs():
          "the following arguments are required: spec"),
         (["analyze", "x.json", "--max-order", "abc"], "sympref analyze",
          "argument --max-order: invalid int value: 'abc'"),
+        (["frob"], "sympref", "argument command: invalid choice: 'frob'"),
         (["analyze", "x.json", "--max-order", "0"], "sympref analyze",
          "argument --max-order: 0 is not a positive integer"),
         (["analyze", "x.json", "--max-order", "-3"], "sympref analyze",
          "argument --max-order: -3 is not a positive integer"),
-        (["frob"], "sympref", "argument command: invalid choice: 'frob'"),
     ],
 )
 def test_usage_errors_are_bad_input_not_the_order_bound(argv, usage, message):
