@@ -1,10 +1,17 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sympref.catalog import build_entry, build_weyl
+from sympref.catalog import (
+    CATALOG,
+    build_entry,
+    build_symmetric_on_squares,
+    build_weyl,
+    build_weyl_doubled,
+)
 from sympref.cyclotomic import ConductorMismatch, CyclotomicNumber
 from sympref.groups import (
     FiniteMatrixGroup,
@@ -20,6 +27,7 @@ from sympref.groups import (
     powers,
 )
 from sympref.linalg import BadForm, ExactMatrix, standard_symplectic_form
+from sympref.specio import make_group, spec_from_group
 
 Cyc = CyclotomicNumber
 
@@ -300,3 +308,113 @@ def brute_force_orbits(points, moves):
 def test_orbits_match_a_brute_force_partition(case):
     points, moves = case
     assert orbits(points, moves) == brute_force_orbits(points, moves)
+
+
+def group_digest(group):
+    """A short hash of a group's element keys in order, its traces, and
+    the product of every element with every generator, by index."""
+    gens = group.generator_indices()
+    products = [[group.product_index(i, j) for j in gens] for i in range(group.order)]
+    return hashlib.sha256(repr((
+        [m.key() for m in group.elements],
+        [t.key() for t in group.traces],
+        gens,
+        products,
+    )).encode()).hexdigest()[:16]
+
+
+# recorded from the closure that multiplied whole matrices: a change to
+# how a group is built must give the same elements in the same order,
+# the same traces and the same products
+PINNED_DIGESTS = {
+    "symmetric_n2": "3de3dac8aec3cc0a",
+    "symmetric_n3": "7334ea352492d392",
+    "symmetric_n4": "ee43105a2592f3d4",
+    "weyl_a2_doubled": "f6948acf35283203",
+    "weyl_a3_doubled": "32f04257eb53b0b4",
+    "weyl_b2_doubled": "7718fdefe1184212",
+    "weyl_c2_doubled": "e37ba4d389e04c18",
+    "weyl_d3_doubled": "67a04138b4456efe",
+    "weyl_g2_doubled": "60bf923e317c61c0",
+    "sl2_cyclic_2": "3ad24a716c348b8f",
+    "sl2_cyclic_3": "6397bd2e356c204c",
+    "sl2_cyclic_5": "0a30003e8dca7c6b",
+    "sl2_binary_dihedral_2": "5f02887d83320940",
+    "sl2_binary_dihedral_3": "906e70e0cfe927b1",
+    "sl2_binary_tetrahedral": "b2f882251dbe7169",
+    "sl2_binary_octahedral": "646ba961de32c0b1",
+    "sl2_binary_icosahedral": "f575829645a4214c",
+    "imprimitive_2_1_2": "1a6e086eb7ed175c",
+    "imprimitive_2_2_2": "4c72f798fd92ddc8",
+    "imprimitive_3_1_2": "97679af5ccb3c7c7",
+    "imprimitive_4_2_2": "ac073f566d5bd4cb",
+    "imprimitive_2_1_3": "52b82cac7200d99c",
+    "imprimitive_3_3_3": "a6c09fe22973e1fa",
+    "negation_c4": "5e3b3b7929c8686a",
+    "negation_c6": "cf58359558895b28",
+}
+
+DOUBLED_ENTRIES = [
+    e.name for e in CATALOG if e.name.startswith(("weyl_", "imprimitive_"))
+]
+
+
+def test_every_catalog_entry_has_a_pinned_digest():
+    assert sorted(PINNED_DIGESTS) == sorted(e.name for e in CATALOG)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_catalog_group_digests_are_pinned(name):
+    assert group_digest(build_entry(name)) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", DOUBLED_ENTRIES)
+def test_a_doubled_entry_closed_from_its_spec_keeps_its_digest(name):
+    spec = spec_from_group(name, build_entry(name))
+    assert group_digest(make_group(spec)) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        pytest.param(lambda: build_symmetric_on_squares(5), "8759cd72b91ec94d",
+                     id="S5_on_planes"),
+        pytest.param(lambda: build_weyl_doubled("F4"), "c2cccc47771fa441",
+                     id="F4_doubled"),
+    ],
+)
+def test_larger_group_digests_are_pinned(build, digest):
+    assert group_digest(build()) == digest
+
+
+@st.composite
+def monomial_generators(draw):
+    """Up to three monomial matrices of dimension at most 3 whose
+    nonzero entries are signed powers of zeta_m, m in (1, 3, 4)."""
+    n = draw(st.integers(1, 3))
+    conductor = draw(st.sampled_from((1, 3, 4)))
+    z = Cyc.zeta(conductor)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        images = draw(st.permutations(range(n)))
+        rows = [[0] * n for _ in range(n)]
+        for src, dst in enumerate(images):
+            sign = draw(st.sampled_from((1, -1)))
+            rows[dst][src] = z ** draw(st.integers(0, conductor - 1)) * sign
+        gens.append(ExactMatrix.from_rows(rows, conductor))
+    return n, conductor, gens
+
+
+@settings(max_examples=25, deadline=None)
+@given(monomial_generators())
+def test_closure_matches_brute_force_on_monomial_groups(case):
+    n, conductor, gens = case
+    try:
+        g = FiniteMatrixGroup.closure(n, conductor, None, gens, max_order=48)
+    except OrderBoundExceeded:
+        assume(False)
+    keys = [m.key() for m in g.elements]
+    assert set(keys) == brute_force_closure(n, conductor, gens)
+    assert g.elements[0].is_identity()
+    assert keys[1:] == sorted(keys[1:])
+    assert list(g.traces) == [m.trace() for m in g.elements]
