@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 
 from .cyclotomic import BadInput, CyclotomicNumber, InvariantViolation
 from .groups import DEFAULT_MAX_ORDER, FiniteMatrixGroup, OrderBoundExceeded
@@ -34,14 +35,26 @@ def _checked_order(group: FiniteMatrixGroup, expected: int) -> FiniteMatrixGroup
     return group
 
 
+def _order(factors, divisor=1):
+    """The product of the positive integers `factors`, over `divisor`;
+    None as soon as it passes the default bound, so that the order of
+    an oversized family member is never multiplied out."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > DEFAULT_MAX_ORDER * divisor:
+            return None
+    return order // divisor
+
+
 def _refuse_oversized(order, conductor, what="the group"):
     """Refuse, before any generator is built, an order over the default
-    bound or a conductor over the one every parsed document meets."""
-    if order > DEFAULT_MAX_ORDER:
+    bound (or None, from _order) or a conductor over the one every
+    parsed document meets."""
+    if order is None or order > DEFAULT_MAX_ORDER:
         raise OrderBoundExceeded(
             DEFAULT_MAX_ORDER,
-            "%s has order %d, over the bound %d"
-            % (what, order, DEFAULT_MAX_ORDER),
+            "%s has order over the bound %d" % (what, DEFAULT_MAX_ORDER),
         )
     if conductor > MAX_CONDUCTOR:
         raise ParameterOutOfRange(
@@ -83,13 +96,14 @@ def build_symmetric_on_squares(n: int) -> FiniteMatrixGroup:
 _WEYL_FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
 
-def _weyl_order(family: str, rank: int) -> int:
+def _weyl_order(family: str, rank: int) -> int | None:
+    """The order; None for a classical type whose order passes the
+    default bound."""
     if family == "A":
-        return math.factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2 ** rank * math.factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
+        return _order(range(2, rank + 2))
+    if family in ("B", "C", "D"):
+        twos = rank - 1 if family == "D" else rank
+        return _order(chain(range(2, rank + 1), repeat(2, twos)))
     return {
         "E6": 51840,
         "E7": 2903040,
@@ -285,7 +299,7 @@ def build_imprimitive(m: int, p: int, n: int) -> FiniteMatrixGroup:
         raise ParameterOutOfRange(
             "need m, n >= 1 and p a divisor of m"
         )
-    order = m ** n * math.factorial(n) // p
+    order = _order(chain(range(2, n + 1), repeat(m, n)), p)
     _refuse_oversized(order, m)
     gens = []
     for i in range(n - 1):

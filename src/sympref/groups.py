@@ -3,14 +3,19 @@
 A group is enumerated once, by breadth-first closure of the identity
 under right multiplication by the generators, and then frozen: elements
 live in a fixed canonical order, with the identity at index 0 and the
-rest sorted by their coefficient keys.  The closure's products are kept
-as the regular representation (a permutation table per generator, a
-Schreier word per element), so products and inverses of elements are
-table walks that touch no matrix.  Everything downstream works with
-element indices, which is what makes reports deterministic.  Each new
-element's trace is kept, and checked against bounds every element of
-finite order meets, so that most infinite groups stop at their first
-element of infinite order instead of at the order bound.
+rest sorted by their coefficient keys.  The closure runs on Omega, the
+orbit of the identity's rows under v -> v g.  An element is the tuple
+of its rows' positions in Omega, so x g is one lookup per row; each row
+image v g is a vector-matrix product, made the first time it is needed,
+and an element's matrix is built from its rows without arithmetic.  The
+closure's products are kept as the regular representation (a
+permutation table per generator, a Schreier word per element), so
+products and inverses of elements are table walks that touch no matrix.
+Everything downstream works with element indices, which is what makes
+reports deterministic.  Each new element's trace is kept, and checked
+against bounds every element of finite order meets, so that most
+infinite groups stop at their first element of infinite order instead
+of at the order bound.
 """
 
 from __future__ import annotations
@@ -179,8 +184,8 @@ class FiniteMatrixGroup:
         generators,
         max_order: int = DEFAULT_MAX_ORDER,
     ) -> "FiniteMatrixGroup":
-        gens = []
-        for i, g in enumerate(generators):
+        gens = list(generators)
+        for i, g in enumerate(gens):
             if g.rows != dimension or g.cols != dimension:
                 raise DimensionMismatch(
                     "generator %d is %dx%d, expected %dx%d"
@@ -189,7 +194,6 @@ class FiniteMatrixGroup:
             _same_conductor(g.conductor, conductor)
             if g.rank() < dimension:
                 raise SingularGenerator(i)
-            gens.append(g)
         if omega is not None:
             if omega.rows != dimension:
                 raise DimensionMismatch("form has wrong dimension")
@@ -199,39 +203,37 @@ class FiniteMatrixGroup:
                 if not is_symplectic(g, omega):
                     raise NotSymplectic(i)
 
-        identity = ExactMatrix.identity(dimension, conductor)
-        matrices = {identity.key(): identity}
-        for g in gens:
-            matrices.setdefault(g.key(), g)
-        traces = {identity.key(): identity.trace()}
-
-        def multiply(k1, k2):
-            prod = matrices[k1] * matrices[k2]
-            key = prod.key()
-            # every element but the identity is first met here
-            if key not in traces:
-                traces[key] = _checked_trace(prod, max_order)
-                matrices.setdefault(key, prod)
-            return key
-
+        n = dimension
+        identity = ExactMatrix.identity(n, conductor)
         # the distinct generators other than the identity
-        keys, tables, words = _closure(
-            identity.key(), list(matrices)[1:], multiply, max_order
-        )
-        return _canonical(
-            dimension, conductor, omega, gens,
-            [matrices[k] for k in keys], tables, words,
-            [traces[k] for k in keys],
-        )
+        distinct = list({m.key(): m for m in [identity, *gens]}.values())[1:]
+        # points[a] is a 1 x n row of Omega, where[key] its position, and
+        # moves[k][a] the position of points[a] * distinct[k]
+        points = [ExactMatrix(1, n, conductor, identity.row(i)) for i in range(n)]
+        where = {p.key(): a for a, p in enumerate(points)}
+        moves = [{} for _ in distinct]
 
-    def isomorphic_image(self, images, omega, generators) -> "FiniteMatrixGroup":
-        """The group of images[i], the image of element i under an
-        injective homomorphism, and of the generators' images; it keeps
-        this group's tables and words instead of being closed again."""
-        return _canonical(
-            images[0].rows, images[0].conductor, omega, generators,
-            images, self._tables, self._words, [m.trace() for m in images],
-        )
+        def move(a, k):
+            if a not in moves[k]:
+                v = points[a] * distinct[k]
+                moves[k][a] = where.setdefault(v.key(), len(points))
+                if moves[k][a] == len(points):
+                    points.append(v)
+            return moves[k][a]
+
+        start = tuple(range(n))
+        made = {start: (identity, identity.trace())}
+
+        def multiply(x, k):
+            y = tuple(move(a, k) for a in x)
+            if y not in made:  # every element but the identity is met here
+                m = ExactMatrix.stack([points[a] for a in y])
+                made[y] = m, _checked_trace(m, max_order)
+            return y
+
+        found, tables, words = _closure(start, range(len(moves)), multiply, max_order)
+        matrices, traces = zip(*(made[x] for x in found))
+        return _canonical(n, conductor, omega, gens, matrices, tables, words, traces)
 
     @property
     def order(self) -> int:
@@ -316,9 +318,6 @@ class SubgroupHandle:
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.flags) if f)
-
-    def contains_index(self, i: int) -> bool:
-        return self.flags[i]
 
     @property
     def is_whole_group(self) -> bool:

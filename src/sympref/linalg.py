@@ -104,6 +104,16 @@ class ExactMatrix:
     def from_columns(cls, column_vectors, conductor: int = 1) -> "ExactMatrix":
         return cls.from_rows(column_vectors, conductor).transpose()
 
+    @classmethod
+    def stack(cls, rows) -> "ExactMatrix":
+        """The matrix whose rows are the 1 x n matrices `rows`.  Its
+        entries and key are theirs, shared, so stacking does no
+        arithmetic and stacks of the same rows share their memory."""
+        m = cls(len(rows), rows[0].cols, rows[0].conductor,
+                [e for r in rows for e in r.entries])
+        m._key = tuple(k for r in rows for k in r.key())
+        return m
+
     def entry(self, i: int, j: int) -> CyclotomicNumber:
         return self.entries[i * self.cols + j]
 

@@ -26,7 +26,7 @@ from .groups import (
 )
 # fixed_space is no longer called here, but stays importable from this
 # module: perfbench/layers.py wraps it here to count eliminations
-from .linalg import ExactMatrix, fixed_space, is_symplectic, pairing_form  # noqa: F401
+from .linalg import ExactMatrix, fixed_space, pairing_form  # noqa: F401
 
 VERDICT_OBSTRUCTED = "NoSymplecticResolution"
 VERDICT_HOLDS = "NecessaryConditionHolds"
@@ -174,34 +174,32 @@ def z_locus_min_codim(
 def doubled_element(g: ExactMatrix) -> ExactMatrix:
     """Block matrix acting as g on W and as the inverse transpose on
     the dual copy, so that the natural pairing is preserved."""
-    return _block_diagonal(g, g.inverse().transpose())
-
-
-def _block_diagonal(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    zero = ExactMatrix.zero(a.rows, b.cols, a.conductor)
-    top = [list(a.row(i)) + list(zero.row(i)) for i in range(a.rows)]
-    bottom = [list(zero.row(i)) + list(b.row(i)) for i in range(b.rows)]
-    return ExactMatrix.from_rows(top + bottom, a.conductor)
+    n, zero = g.rows, [0] * g.rows
+    dual = g.inverse().transpose()
+    return ExactMatrix.from_rows(
+        [list(g.row(i)) + zero for i in range(n)]
+        + [zero + list(dual.row(i)) for i in range(n)],
+        g.conductor,
+    )
 
 
 def double(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """The action on W + W* induced by a linear action on W.
 
-    The image group is isomorphic to the original (the map is a
-    faithful homomorphism), preserves the dual pairing form, and is
-    symplectic of twice the dimension, so no re-closure is needed: the
-    image inherits the group's tables, and each inverse transpose, the
-    generators' included, comes from the inverse already in the group.
+    The doubled generators are closed again, under the dual pairing
+    form, which closure checks they preserve.  g -> doubled_element(g)
+    is an injective homomorphism, so the closure, bounded by the
+    group's order, must reach it; anything else is a broken invariant.
     """
-    omega = pairing_form(group.dimension, group.conductor)
-    images = [
-        _block_diagonal(g, group.element(group.inverse_index(i)).transpose())
-        for i, g in enumerate(group.elements)
-    ]
-    gens = [images[group.index_of(g)] for g in group.generators]
-    for i, g in enumerate(gens):
-        if not is_symplectic(g, omega):
-            raise InvariantViolation(
-                "doubled generator %d does not preserve the pairing form" % i
-            )
-    return group.isomorphic_image(images, omega, gens)
+    doubled = FiniteMatrixGroup.closure(
+        2 * group.dimension, group.conductor,
+        pairing_form(group.dimension, group.conductor),
+        [doubled_element(g) for g in group.generators],
+        max_order=group.order,
+    )
+    if doubled.order != group.order:
+        raise InvariantViolation(
+            "the doubled group has order %d, the group %d"
+            % (doubled.order, group.order)
+        )
+    return doubled

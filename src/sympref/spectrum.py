@@ -18,6 +18,7 @@ importing the package (and every other command) never loads numpy.
 from __future__ import annotations
 
 import math
+import numbers
 
 from .cyclotomic import BadInput
 
@@ -32,6 +33,13 @@ class ToleranceViolation(BadInput, ArithmeticError):
 def _as_square(matrix, name):
     import numpy as np
 
+    # numpy would parse strings ("2j") and take booleans as 0 and 1
+    for i, row in enumerate(matrix if isinstance(matrix, list) else ()):
+        for j, v in enumerate(row if isinstance(row, list) else ()):
+            if isinstance(v, bool) or not isinstance(v, numbers.Number):
+                raise BadInput(
+                    "%s[%d][%d] is a %s, not a number" % (name, i, j, type(v).__name__)
+                )
     try:
         a = np.asarray(matrix, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -129,7 +137,8 @@ def symplectic_eigenvalues(
 
     theta must be antisymmetric and metric (identity when omitted)
     Hermitian positive definite, both to input_tol relative, with every
-    entry finite, in theta's h-orthonormal frame as well.  The paired
+    entry a number (not a string or a boolean) and finite, in theta's
+    h-orthonormal frame as well, as are its singular values.  The paired
     singular values must agree to pair_tol relative to the largest one,
     else ToleranceViolation.  Both tolerances must be finite and
     nonnegative.
@@ -166,6 +175,9 @@ def symplectic_eigenvalues(
         singular = np.linalg.svd(t, compute_uv=False)  # descending
     except np.linalg.LinAlgError as exc:
         raise BadInput(str(exc)) from None
+    bad = singular[~np.isfinite(singular)]
+    if len(bad):
+        raise BadInput("a singular value of theta is %s, not finite" % bad[0])
     top = float(singular[0]) if n else 0.0
     threshold = pair_tol * max(top, np.finfo(float).tiny)
     pairs = []

@@ -208,6 +208,10 @@ except (catalog.ParameterOutOfRange, groups.OrderBoundExceeded) as exc:
         ("build_sl2_subgroup('binary_dihedral', 30000)", "OrderBoundExceeded"),
         ("build_sl2_subgroup('cyclic', 99991)", "ParameterOutOfRange"),
         ("build_imprimitive(401, 1, 1)", "ParameterOutOfRange"),
+        # orders whose factorials alone have thousands of digits
+        ("build_imprimitive(2, 1, 200000)", "OrderBoundExceeded"),
+        ("build_weyl('A', 200000)", "OrderBoundExceeded"),
+        ("build_weyl('D', 200000)", "OrderBoundExceeded"),
     ],
 )
 def test_oversized_builders_refuse_before_building(call, error):

@@ -446,6 +446,8 @@ def test_spectrum_with_metric(tmp_path, capsys):
         {"theta": [[0, 1], [1, 0]]},  # not antisymmetric
         {"metric": [[1, 0], [0, 1]]},  # missing theta
         [[0, 1], [-1, 0]],  # not an object
+        {"theta": [["0", "2j"], ["-2j", "0"]]},  # strings numpy would parse
+        {"theta": [[0, 1], [-1, 0]], "metric": [[True, False], [False, True]]},
     ],
 )
 def test_spectrum_bad_input(tmp_path, capsys, payload):
@@ -469,6 +471,12 @@ def test_spectrum_bad_input(tmp_path, capsys, payload):
             '"metric": [[1e-308, 0], [0, 1e-308]]}',
             "theta in the metric's frame[0][0] is (nan+nanj)",
         ),
+        (
+            # finite entries, but singular values past the float range
+            '{"theta": [[0, 1e308, 1e308, 1e308], [-1e308, 0, 1e308, 1e308], '
+            '[-1e308, -1e308, 0, 1e308], [-1e308, -1e308, -1e308, 0]]}',
+            "a singular value of theta is inf",
+        ),
     ],
 )
 def test_spectrum_rejects_non_finite_entries(tmp_path, text, message):
@@ -483,6 +491,22 @@ def test_spectrum_rejects_non_finite_entries(tmp_path, text, message):
     assert proc.stdout == ""
     # the message alone: no numpy RuntimeWarning ahead of it
     assert proc.stderr == "error: %s, not finite\n" % message
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"theta": [[0, "2j"], ["-2j", 0]]}, "theta[0][1] is a str"),
+        ({"theta": [[0, 1], [-1, 0]], "metric": [[1, False], [False, 1]]},
+         "metric[0][1] is a bool"),
+    ],
+)
+def test_spectrum_names_an_entry_that_is_not_a_number(tmp_path, capsys, payload, message):
+    path = write_json(tmp_path, "theta.json", payload)
+    assert main(["spectrum", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s, not a number\n" % message
 
 
 @pytest.mark.parametrize("option", ["--input-tol", "--pair-tol"])

@@ -112,6 +112,21 @@ def test_closure_matches_brute_force_oracle():
         assert {m.key() for m in g.elements} == expected
 
 
+def test_closure_multiplies_only_rows_by_generators(monkeypatch):
+    # S3 permutes the 3 basis rows: Omega has 3 points, each moved once
+    # by each of the 2 generators, and no element is multiplied out
+    shapes = []
+    mul = ExactMatrix.__mul__
+
+    def counted(a, b):
+        shapes.append((a.rows, a.cols, b.rows, b.cols))
+        return mul(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    assert s3_group().order == 6
+    assert shapes == [(1, 3, 3, 3)] * 6
+
+
 def test_canonical_order_ignores_generator_order():
     a = perm_matrix([1, 0, 2])
     b = perm_matrix([0, 2, 1])

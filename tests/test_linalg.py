@@ -342,6 +342,15 @@ def test_transpose_and_apply():
         a.apply([1, 1, 1])
 
 
+def test_stack_shares_its_rows():
+    z = Cyc.zeta(4)
+    rows = [ExactMatrix.from_rows([r], 4) for r in ([1, z, 0], [0, -1, z ** 2])]
+    m = ExactMatrix.stack(rows)
+    assert m == ExactMatrix.from_rows([[1, z, 0], [0, -1, z ** 2]], 4)
+    assert m.key() == tuple(e.key() for e in m.entries)
+    assert all(a is b for a, b in zip(m.entries, rows[0].entries + rows[1].entries))
+
+
 def test_is_identity():
     assert ExactMatrix.identity(3).is_identity()
     assert ExactMatrix.identity(2, 5).is_identity()

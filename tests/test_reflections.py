@@ -124,6 +124,16 @@ def test_a_reflection_subgroup_that_is_not_normal_raises(monkeypatch):
         reflection_subgroup(block_swap_group())
 
 
+def test_a_doubled_group_of_another_order_raises(monkeypatch):
+    # doubling is injective, so only a broken doubled_element changes the order
+    monkeypatch.setattr(
+        reflections, "doubled_element",
+        lambda g: ExactMatrix.identity(2 * g.rows, g.conductor),
+    )
+    with pytest.raises(InvariantViolation, match="order 1, the group 6"):
+        double(build_weyl("A", 2))
+
+
 def test_census_block_swap():
     g = block_swap_group()
     cen = census(g)
