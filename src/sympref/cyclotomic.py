@@ -1,9 +1,22 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 Values are stored in the power basis 1, z, ..., z^(phi(m)-1) of Q(zeta_m),
-reduced modulo the m-th cyclotomic polynomial, with arbitrary-precision
-rational coefficients.  The representation is canonical: equal field
-elements at a common conductor have identical coefficient tuples.
+reduced modulo the m-th cyclotomic polynomial.  Each coefficient is a
+Python `int` when it is integral and a `Fraction` otherwise, never a
+float or a bool, so integral values (almost every group entry) pay
+machine-integer costs and rationals are paid for only where they occur.
+An int n and `Fraction(n)` agree on `==`, `hash`, `str` and
+`.numerator`/`.denominator`, so keys, hashes and printed values do not
+depend on which of the two a computation produced; the representation is
+canonical all the same: equal field elements at a common conductor have
+identical coefficient tuples.
+
+The public constructor checks its input: a positive conductor, phi(m)
+coefficients, each converted exactly (a float such as 0.5 becomes 1/2).
+Arithmetic results skip those checks and are built by `_number`, because
+they hold by construction: every operation returns phi(m) coefficients
+already in the int-or-Fraction form.  Every true division goes through
+`Fraction`, as `int / int` would be a float.
 """
 
 from __future__ import annotations
@@ -13,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class BadInput(ValueError):
@@ -69,13 +81,47 @@ def mobius(m: int) -> int:
     return (-1) ** len(primes) if math.prod(primes) == m else 0
 
 
-def _substitute(coeffs, a: int, n: int) -> list[Fraction]:
+def _degree(conductor: int) -> int:
+    """phi(conductor), the number of coefficients, for a valid conductor."""
+    if conductor < 1:
+        raise ValueError("conductor must be positive")
+    return euler_phi(conductor)
+
+
+def _exact(value):
+    """An input scalar as an int when integral, else as a Fraction.
+
+    Fraction() takes ints, bools, floats (exactly), Fractions and
+    rational strings, and refuses the rest.
+    """
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _canon(cs) -> tuple:
+    """Ints and Fractions as a coefficient tuple: each integral Fraction
+    replaced by its int."""
+    return tuple([
+        c if c.__class__ is int or c.denominator != 1 else c.numerator
+        for c in cs
+    ])
+
+
+def _quotient(a, b):
+    """a / b for ints and Fractions, exactly, in the int-or-Fraction form."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _substitute(coeffs, a: int, n: int) -> list:
     """Coefficients of sum_k c_k z^(k a mod n), a list of length n.
 
     With n the conductor this is zeta -> zeta^a on Q(zeta_n), unreduced;
     with n above the degree times a it is the lift p(z) -> p(z^a).
     """
-    acc = [_ZERO] * n
+    acc = [0] * n
     for k, c in enumerate(coeffs):
         if c:
             acc[k * a % n] += c
@@ -95,28 +141,29 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     base = cyclotomic_polynomial(m // p)
     lift = _substitute(base, p, (len(base) - 1) * p + 1)
     if (m // p) % p == 0:
-        return tuple(map(int, lift))
+        return tuple(lift)
     quot, rem = _poly_divmod(lift, base)
     if rem:
         raise InvariantViolation("non-exact cyclotomic division")
-    return tuple(map(int, quot))
+    return tuple(quot)
 
 
-def _reduce(coeffs, m: int) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list modulo the m-th cyclotomic polynomial."""
+def _reduce(coeffs, m: int) -> tuple:
+    """Reduce a list of ints and Fractions modulo the m-th cyclotomic
+    polynomial, to a coefficient tuple."""
     mod = cyclotomic_polynomial(m)
     phi = len(mod) - 1
-    cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    cs = list(coeffs)
     for i in range(len(cs) - 1, phi - 1, -1):
         c = cs[i]
         if c:
-            cs[i] = _ZERO
+            cs[i] = 0
             for j in range(phi):
                 if mod[j]:
                     cs[i - phi + j] -= c * mod[j]
     if len(cs) < phi:
-        cs.extend([_ZERO] * (phi - len(cs)))
-    return tuple(cs[:phi])
+        cs.extend([0] * (phi - len(cs)))
+    return _canon(cs[:phi])
 
 
 def _poly_divmod(num, den):
@@ -125,11 +172,11 @@ def _poly_divmod(num, den):
         num.pop()
     dn = len(den) - 1
     lead = den[dn]
-    quot = [_ZERO] * max(len(num) - dn, 0)
+    quot = [0] * max(len(num) - dn, 0)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c:
-            q = c / lead
+            q = _quotient(c, lead)
             quot[i - dn] = q
             for j in range(dn + 1):
                 if den[j]:
@@ -151,21 +198,26 @@ def _normalized_trace_table(m: int) -> tuple[Fraction, ...]:
     return tuple(table)
 
 
+def _check_conductors(a: int, b: int) -> None:
+    if a != b:
+        raise ConductorMismatch(
+            "conductors %d and %d differ; promote to a common "
+            "conductor first" % (a, b)
+        )
+
+
 class CyclotomicNumber:
     """An element of Q(zeta_m), immutable."""
 
     __slots__ = ("conductor", "coeffs", "_hash")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs
-        )
-        if conductor < 1:
-            raise ValueError("conductor must be positive")
-        if len(coeffs) != euler_phi(conductor):
+        coeffs = tuple(map(_exact, coeffs))
+        phi = _degree(conductor)
+        if len(coeffs) != phi:
             raise ValueError(
                 "expected %d coefficients for conductor %d, got %d"
-                % (euler_phi(conductor), conductor, len(coeffs))
+                % (phi, conductor, len(coeffs))
             )
         self.conductor = conductor
         self.coeffs = coeffs
@@ -173,8 +225,9 @@ class CyclotomicNumber:
 
     @classmethod
     def rational(cls, value, conductor: int = 1) -> "CyclotomicNumber":
-        coeffs = [Fraction(value)] + [_ZERO] * (euler_phi(conductor) - 1)
-        return cls(conductor, coeffs)
+        return _number(
+            conductor, (_exact(value),) + (0,) * (_degree(conductor) - 1)
+        )
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CyclotomicNumber":
@@ -187,8 +240,21 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, conductor: int, power: int = 1) -> "CyclotomicNumber":
         """zeta_m^power as an element of Q(zeta_m)."""
-        acc = _substitute((_ZERO, _ONE), power, conductor)
-        return cls(conductor, _reduce(acc, conductor))
+        _degree(conductor)
+        acc = _substitute((0, 1), power, conductor)
+        return _number(conductor, _reduce(acc, conductor))
+
+    @classmethod
+    def sum_of(cls, values, conductor: int) -> "CyclotomicNumber":
+        """The sum of values at this conductor, added coefficient-wise
+        into one result: no intermediate sums are built."""
+        acc = [0] * _degree(conductor)
+        for v in values:
+            _check_conductors(conductor, v.conductor)
+            for k, c in enumerate(v.coeffs):
+                if c:
+                    acc[k] += c
+        return _number(conductor, _canon(acc))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -197,18 +263,14 @@ class CyclotomicNumber:
         return any(self.coeffs)
 
     def rational_value(self):
-        """The value as a Fraction if it is rational, else None."""
+        """The value as an int or Fraction if it is rational, else None."""
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
-            if other.conductor != self.conductor:
-                raise ConductorMismatch(
-                    "conductors %d and %d differ; promote to a common "
-                    "conductor first" % (self.conductor, other.conductor)
-                )
+            _check_conductors(self.conductor, other.conductor)
             return other
         if isinstance(other, (int, Fraction)):
             return CyclotomicNumber.rational(other, self.conductor)
@@ -218,9 +280,9 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CyclotomicNumber(
+        return _number(
             self.conductor,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+            _canon([a + b for a, b in zip(self.coeffs, other.coeffs)]),
         )
 
     __radd__ = __add__
@@ -229,9 +291,9 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CyclotomicNumber(
+        return _number(
             self.conductor,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
+            _canon([a - b for a, b in zip(self.coeffs, other.coeffs)]),
         )
 
     def __rsub__(self, other):
@@ -241,20 +303,21 @@ class CyclotomicNumber:
         return other - self
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coeffs))
+        # negation keeps ints ints and non-integral Fractions non-integral
+        return _number(self.conductor, tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        acc = [_ZERO] * (2 * len(a) - 1)
+        acc = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         acc[i + j] += ai * bj
-        return CyclotomicNumber(self.conductor, _reduce(acc, self.conductor))
+        return _number(self.conductor, _reduce(acc, self.conductor))
 
     __rmul__ = __mul__
 
@@ -262,9 +325,9 @@ class CyclotomicNumber:
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero():
             raise DivisionByZero("cannot invert zero")
-        mod = tuple(Fraction(c) for c in cyclotomic_polynomial(self.conductor))
-        r0, r1 = list(mod), list(self.coeffs)
-        t0, t1 = [_ZERO], [_ONE]
+        r0 = list(cyclotomic_polynomial(self.conductor))
+        r1 = list(self.coeffs)
+        t0, t1 = [0], [1]
         while True:
             while r1 and not r1[-1]:
                 r1.pop()
@@ -273,13 +336,13 @@ class CyclotomicNumber:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             # t0 - q*t1
-            prod = [_ZERO] * (len(q) + len(t1) - 1)
+            prod = [0] * (len(q) + len(t1) - 1)
             for i, qi in enumerate(q):
                 if qi:
                     for j, tj in enumerate(t1):
                         if tj:
                             prod[i + j] += qi * tj
-            new_t = list(t0) + [_ZERO] * max(len(prod) - len(t0), 0)
+            new_t = list(t0) + [0] * max(len(prod) - len(t0), 0)
             for i, p in enumerate(prod):
                 new_t[i] -= p
             t0, t1 = t1, new_t
@@ -287,8 +350,8 @@ class CyclotomicNumber:
         # irreducible over Q, so the gcd with any smaller-degree
         # nonzero polynomial is 1 up to scale)
         scale = r1[0]
-        coeffs = [c / scale for c in t1]
-        return CyclotomicNumber(self.conductor, _reduce(coeffs, self.conductor))
+        coeffs = [_quotient(c, scale) for c in t1]
+        return _number(self.conductor, _reduce(coeffs, self.conductor))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -319,7 +382,7 @@ class CyclotomicNumber:
         m = self.conductor
         if m <= 2:
             return self
-        return CyclotomicNumber(m, _reduce(_substitute(self.coeffs, -1, m), m))
+        return _number(m, _reduce(_substitute(self.coeffs, -1, m), m))
 
     def promote(self, conductor: int) -> "CyclotomicNumber":
         """The same field element expressed in Q(zeta_conductor)."""
@@ -331,7 +394,7 @@ class CyclotomicNumber:
                 "Q(zeta_%d) is not a subfield of Q(zeta_%d)" % (m, conductor)
             )
         acc = _substitute(self.coeffs, conductor // m, conductor)
-        return CyclotomicNumber(conductor, _reduce(acc, conductor))
+        return _number(conductor, _reduce(acc, conductor))
 
     def normalized_trace(self) -> Fraction:
         """Field trace to Q divided by the field degree.
@@ -393,3 +456,14 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return "Cyc(%d: %s)" % (self.conductor, self)
+
+
+def _number(conductor: int, coeffs: tuple) -> CyclotomicNumber:
+    """The value with these coefficients, built without the public
+    constructor's checks: for arithmetic results, whose coefficients
+    are phi(conductor) ints and non-integral Fractions by construction."""
+    x = object.__new__(CyclotomicNumber)
+    x.conductor = conductor
+    x.coeffs = coeffs
+    x._hash = None
+    return x

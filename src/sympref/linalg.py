@@ -20,7 +20,6 @@ from the same residuals against an echelon basis as `join_dim`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .cyclotomic import BadInput, ConductorMismatch, CyclotomicNumber
 
@@ -47,7 +46,7 @@ def _coerce_entry(value, conductor):
     if isinstance(value, CyclotomicNumber):
         _same_conductor(value.conductor, conductor)
         return value
-    return CyclotomicNumber.rational(Fraction(value), conductor)
+    return CyclotomicNumber.rational(value, conductor)
 
 
 class ExactMatrix:
@@ -191,9 +190,8 @@ class ExactMatrix:
     def trace(self) -> CyclotomicNumber:
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices have a trace")
-        return sum(
-            (self.entry(i, i) for i in range(self.rows)),
-            CyclotomicNumber.zero(self.conductor),
+        return CyclotomicNumber.sum_of(
+            self.entries[:: self.cols + 1], self.conductor
         )
 
     def is_identity(self) -> bool:

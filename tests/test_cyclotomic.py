@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympref.cyclotomic import (
     ConductorMismatch,
     CyclotomicNumber,
     DivisionByZero,
     NotASubfield,
+    _reduce,
     cyclotomic_polynomial,
     euler_phi,
     mobius,
@@ -268,3 +271,125 @@ def test_string_rendering_is_readable():
     assert str(1 + 2 * w) == "1 + 2*z3"
     assert str(-w) == "-z3"
     assert str(Cyc.zeta(8, 3)) == "z8^3"
+
+
+@pytest.mark.parametrize("conductor", [0, -4])
+def test_constructor_refuses_a_conductor_below_one(conductor):
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        Cyc(conductor, [1])
+
+
+@pytest.mark.parametrize("m, count", [(1, 0), (1, 2), (5, 3), (12, 5)])
+def test_constructor_refuses_a_coefficient_count_other_than_phi(m, count):
+    message = "expected %d coefficients for conductor %d, got %d" % (
+        euler_phi(m), m, count,
+    )
+    with pytest.raises(ValueError, match=message):
+        Cyc(m, [1] * count)
+
+
+def test_constructor_stores_a_float_coefficient_exactly():
+    x = Cyc(4, [0.5, -0.75])
+    assert x.coeffs == (Fraction(1, 2), Fraction(-3, 4))
+    assert not any(isinstance(c, float) for c in x.coeffs)
+
+
+# -- the kernel against a Fraction-only reference ---------------------------
+
+KERNEL_CONDUCTORS = (1, 2, 3, 4, 5, 8, 12)
+_SCALARS = st.one_of(
+    st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4)
+)
+
+
+def _is_exact(c):
+    """An int when integral, else a Fraction; never a float or a bool."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _ref_reduce(coeffs, m):
+    """The remainder modulo Phi_m by long division in Fractions."""
+    mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
+    phi = len(mod) - 1
+    rem = [Fraction(c) for c in coeffs] + [Fraction(0)] * phi
+    for i in range(len(rem) - 1, phi - 1, -1):
+        q = rem[i] / mod[phi]
+        for j in range(phi + 1):
+            rem[i - phi + j] -= q * mod[j]
+    return rem[:phi]
+
+
+def _ref_mul(a, b, m):
+    return _ref_reduce(_poly_mul([Fraction(c) for c in a], b), m)
+
+
+def _ref_substitute(coeffs, a, m):
+    """sum_k c_k z^(k a) modulo Phi_m, for a >= 0."""
+    lifted = [Fraction(0)] * ((len(coeffs) - 1) * a + 1)
+    for k, c in enumerate(coeffs):
+        lifted[k * a] += c
+    return _ref_reduce(lifted, m)
+
+
+def _assert_matches(result, m, ref):
+    assert result.conductor == m
+    assert all(_is_exact(c) for c in result.coeffs), result.coeffs
+    assert list(result.coeffs) == ref
+    from_fractions = Cyc(m, ref)
+    assert result.key() == tuple((c.numerator, c.denominator) for c in ref)
+    assert result.key() == from_fractions.key()
+    assert hash(result) == hash(from_fractions)
+    if not any(ref[1:]):
+        assert hash(result) == hash(ref[0])
+
+
+@st.composite
+def _kernel_inputs(draw):
+    m = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    phi = euler_phi(m)
+    x, y = (
+        Cyc(m, draw(st.lists(_SCALARS, min_size=phi, max_size=phi)))
+        for _ in range(2)
+    )
+    return m, x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_inputs(), _SCALARS, st.integers(-30, 30), st.integers(1, 3),
+       st.lists(_SCALARS, max_size=30))
+def test_kernel_results_are_exact_and_match_a_fraction_reference(
+    inputs, scalar, power, factor, poly
+):
+    m, x, y = inputs
+    phi = euler_phi(m)
+    fx, fy = [Fraction(c) for c in x.coeffs], [Fraction(c) for c in y.coeffs]
+    one = [Fraction(1)] + [Fraction(0)] * (phi - 1)
+    assert all(_is_exact(c) for c in x.coeffs + y.coeffs)
+    _assert_matches(x + y, m, [a + b for a, b in zip(fx, fy)])
+    _assert_matches(x - y, m, [a - b for a, b in zip(fx, fy)])
+    _assert_matches(-x, m, [-a for a in fx])
+    _assert_matches(x * y, m, _ref_mul(fx, fy, m))
+    _assert_matches(x * scalar, m, [a * scalar for a in fx])
+    _assert_matches(
+        Cyc.sum_of([x, y, x], m), m, [2 * a + b for a, b in zip(fx, fy)]
+    )
+    if x:
+        # multiplication by x is injective, so this names the inverse
+        inverse = x.inverse()
+        _assert_matches(inverse, m, [Fraction(c) for c in inverse.coeffs])
+        assert _ref_mul(fx, inverse.coeffs, m) == one
+        quotient = y / x
+        assert _ref_mul(fx, quotient.coeffs, m) == fy
+        _assert_matches(quotient, m, [Fraction(c) for c in quotient.coeffs])
+    _assert_matches(x.conjugate(), m, _ref_substitute(fx, m - 1, m))
+    _assert_matches(
+        x.promote(m * factor), m * factor, _ref_substitute(fx, factor, m * factor)
+    )
+    assert list(_reduce(poly, m)) == _ref_reduce(poly, m)
+    assert all(_is_exact(c) for c in _reduce(poly, m))
+    _assert_matches(Cyc.zeta(m, power), m, _ref_substitute([0, 1], power % m, m))
+    _assert_matches(
+        Cyc.rational(scalar, m), m, [Fraction(scalar)] + [Fraction(0)] * (phi - 1)
+    )
+    _assert_matches(Cyc.zero(m), m, [Fraction(0)] * phi)
+    _assert_matches(Cyc.one(m), m, one)

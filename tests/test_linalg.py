@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -349,6 +350,26 @@ def test_stack_shares_its_rows():
     assert m == ExactMatrix.from_rows([[1, z, 0], [0, -1, z ** 2]], 4)
     assert m.key() == tuple(e.key() for e in m.entries)
     assert all(a is b for a, b in zip(m.entries, rows[0].entries + rows[1].entries))
+
+
+def test_trace_adds_the_diagonal_coefficient_wise_in_one_construction(monkeypatch):
+    ident = ExactMatrix.identity(12)
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__init__"):
+        def counted(*args, _name=name, _fn=vars(Cyc)[name]):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(Cyc, name, counted)
+    assert ident.trace() == 12
+    # no scalar additions, and no public constructions
+    assert calls == Counter()
+    monkeypatch.undo()
+    z = Cyc.zeta(3)
+    square = ExactMatrix.from_rows([[z, 5], [7, Fraction(1, 2) - z]], 3)
+    assert square.trace() == Fraction(1, 2)
+    assert ExactMatrix.identity(0, 4).trace() == Cyc.zero(4)
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix.zero(2, 3).trace()
 
 
 def test_is_identity():

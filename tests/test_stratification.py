@@ -2,16 +2,18 @@ import dataclasses
 import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympref import stratification
+from sympref import specio, stratification
 from sympref.catalog import (
     CATALOG,
     build_imprimitive_doubled,
+    build_sl2_subgroup,
     build_symmetric_on_squares,
     build_weyl_doubled,
     get_entry,
@@ -461,3 +463,44 @@ def test_semismall_on_doubled_symmetric_group():
     assert semismall_check(lat, fibers).passed
     fibers[4] += 1
     assert not semismall_check(lat, fibers).passed
+
+
+def _assert_exact(value):
+    """Each coefficient an int when integral, else a Fraction; never a
+    float, a bool or an integral Fraction."""
+    for c in value.coeffs:
+        assert type(c) is int or (
+            type(c) is Fraction and c.denominator != 1
+        ), (value, c)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_imprimitive_doubled(4, 1, 3),
+        lambda: build_sl2_subgroup("binary_icosahedral"),
+    ],
+    ids=["doubled_G(4,1,3)", "binary_icosahedral"],
+)
+def test_analysis_leaves_every_coefficient_an_int_or_a_proper_fraction(
+    build, monkeypatch
+):
+    lattices = []
+
+    def kept(group):
+        lattices.append(build_lattice(group))
+        return lattices[-1]
+
+    monkeypatch.setattr(specio, "build_lattice", kept)
+    group = build()
+    report = analyze(group, with_strata=True)
+    (lattice,) = lattices
+    assert len(report.strata) == len(lattice.orbits)
+    for i in range(group.order):
+        for entry in group.element(i).entries:
+            _assert_exact(entry)
+        _assert_exact(group.traces[i])
+    for stratum in lattice.strata:
+        for vec in stratum.subspace.basis:
+            for coordinate in vec:
+                _assert_exact(coordinate)
