@@ -5,100 +5,74 @@ symplectic form, is it generated by its symplectic reflections?  When
 it is not, the symplectic quotient admits no symplectic resolution.
 Everything group-theoretic here is exact, over cyclotomic fields; only
 the 2-form spectrum module works in floating point.
+
+The names below load on first use (PEP 562), so `import sympref`, and
+the command line, which imports this package first, import only the
+submodules they run.
 """
 
-from .cyclotomic import (
-    BadInput,
-    ConductorMismatch,
-    CyclotomicNumber,
-    DivisionByZero,
-    InvariantViolation,
-    NotASubfield,
-    cyclotomic_polynomial,
-    euler_phi,
-)
-from .linalg import (
-    BadForm,
-    DimensionMismatch,
-    ExactMatrix,
-    SingularMatrix,
-    Subspace,
-    check_form,
-    fixed_space,
-    form_restriction_nondegenerate,
-    is_symplectic,
-    pairing_form,
-    standard_symplectic_form,
-)
-from .groups import (
-    DEFAULT_MAX_ORDER,
-    FiniteMatrixGroup,
-    NotAMember,
-    NotSymplectic,
-    OrderBoundExceeded,
-    SingularGenerator,
-    SubgroupHandle,
-    conjugacy_classes,
-    element_order,
-    generated_subgroup,
-    is_normal,
-    powers,
-)
-from .reflections import (
-    VERDICT_HOLDS,
-    VERDICT_OBSTRUCTED,
-    ReflectionCensus,
-    Verdict,
-    census,
-    complex_reflections_generate,
-    double,
-    doubled_element,
-    reflection_subgroup,
-    verdict,
-    z_locus_min_codim,
-)
-from .stratification import (
-    FiberDataError,
-    MissingFiberData,
-    SemismallReport,
-    StratificationLattice,
-    Stratum,
-    build_lattice,
-    parse_fiber_data,
-    semismall_check,
-)
-from .spectrum import (
-    ToleranceViolation,
-    pfaffian,
-    symplectic_eigenvalues,
-)
-from .catalog import (
-    CATALOG,
-    CatalogEntry,
-    ParameterOutOfRange,
-    build_entry,
-    build_imprimitive,
-    build_imprimitive_doubled,
-    build_negation,
-    build_sl2_subgroup,
-    build_symmetric_on_squares,
-    build_weyl,
-    build_weyl_doubled,
-    entry_names,
-    get_entry,
-)
-from .specio import (
-    AnalysisReport,
-    GroupSpecDocument,
-    ParseError,
-    ValidationError,
-    analyze,
-    make_group,
-    parse_group_spec,
-    report_to_json,
-    report_to_text,
-    serialize_group_spec,
-    spec_from_group,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each submodule and the public names that live in it
+_EXPORTS = {
+    "cyclotomic": (
+        "BadInput", "ConductorMismatch", "CyclotomicNumber", "DivisionByZero",
+        "InvariantViolation", "NotASubfield", "cyclotomic_polynomial",
+        "euler_phi",
+    ),
+    "linalg": (
+        "BadForm", "DimensionMismatch", "ExactMatrix", "SingularMatrix",
+        "Subspace", "check_form", "fixed_space",
+        "form_restriction_nondegenerate", "is_symplectic", "pairing_form",
+        "standard_symplectic_form",
+    ),
+    "groups": (
+        "DEFAULT_MAX_ORDER", "FiniteMatrixGroup", "NotAMember",
+        "NotSymplectic", "OrderBoundExceeded", "SingularGenerator",
+        "SubgroupHandle", "conjugacy_classes", "element_order",
+        "generated_subgroup", "is_normal", "powers",
+    ),
+    "reflections": (
+        "VERDICT_HOLDS", "VERDICT_OBSTRUCTED", "ReflectionCensus", "Verdict",
+        "census", "complex_reflections_generate", "double", "doubled_element",
+        "reflection_subgroup", "verdict", "z_locus_min_codim",
+    ),
+    "stratification": (
+        "FiberDataError", "MissingFiberData", "SemismallReport",
+        "StratificationLattice", "Stratum", "build_lattice",
+        "parse_fiber_data", "semismall_check",
+    ),
+    "spectrum": ("ToleranceViolation", "pfaffian", "symplectic_eigenvalues"),
+    "catalog": (
+        "CATALOG", "CatalogEntry", "ParameterOutOfRange", "build_entry",
+        "build_imprimitive", "build_imprimitive_doubled", "build_negation",
+        "build_sl2_subgroup", "build_symmetric_on_squares", "build_weyl",
+        "build_weyl_doubled", "entry_names", "get_entry",
+    ),
+    "specio": (
+        "AnalysisReport", "GroupSpecDocument", "ParseError", "ValidationError",
+        "analyze", "make_group", "parse_group_spec", "report_to_json",
+        "report_to_text", "serialize_group_spec", "spec_from_group",
+    ),
+    "jsonin": (),
+}
+
+# name -> home submodule
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        # importing a submodule binds it on the package
+        return importlib.import_module("." + name, __name__)
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

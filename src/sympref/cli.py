@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import CATALOG, get_entry
 from .cyclotomic import BadInput
 from .groups import DEFAULT_MAX_ORDER, OrderBoundExceeded
 from .jsonin import load_json
@@ -116,8 +115,17 @@ def _cmd_double(args) -> int:
     return EXIT_OK
 
 
+def get_entry(name):
+    """The catalog entry of that name; only `catalog` loads the catalog."""
+    from . import catalog
+
+    return catalog.get_entry(name)
+
+
 def _cmd_catalog(args) -> int:
     if args.catalog_command == "list":
+        from .catalog import CATALOG
+
         for entry in CATALOG:
             print(
                 "%-28s dim %2d  order %7d  %-24s %s"

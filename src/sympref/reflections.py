@@ -14,7 +14,7 @@ necessary condition, never a claim that a resolution exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclotomic import CyclotomicNumber, InvariantViolation
 from .groups import (
@@ -37,8 +37,7 @@ DUVAL_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ReflectionCensus:
+class ReflectionCensus(NamedTuple):
     """Fixed-space codimensions per element, and the reflection indices."""
 
     codims: tuple[int, ...]
@@ -93,8 +92,7 @@ def reflection_subgroup(
     return sub
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the symplectic resolution test for V/G."""
 
     kind: str

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import BadInput, CyclotomicNumber, euler_phi
 from .groups import (
@@ -65,8 +65,7 @@ class ValidationError(BadInput):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
-@dataclass(frozen=True)
-class GroupSpecDocument:
+class GroupSpecDocument(NamedTuple):
     name: str
     dimension: int
     conductor: int
@@ -259,8 +258,7 @@ def make_group(
     )
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     group_order: int
     reflection_count: int
     reflection_conjugacy_class_count: int
@@ -306,7 +304,7 @@ def analyze(group: FiniteMatrixGroup, with_strata: bool = False) -> AnalysisRepo
 
 def report_to_json(report: AnalysisReport) -> str:
     # the field order is the key order
-    return json.dumps(asdict(report), indent=2) + "\n"
+    return json.dumps(report._asdict(), indent=2) + "\n"
 
 
 def report_to_text(report: AnalysisReport) -> str:

@@ -28,7 +28,7 @@ fiber-dimension data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclotomic import BadInput
 from .groups import FiniteMatrixGroup, powers
@@ -51,18 +51,22 @@ class MissingFiberData(BadInput):
         )
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     subspace: Subspace
     codim: int
     stabilizer_order: int  # elements fixing the subspace pointwise
     covers: tuple[int, ...]  # immediate sub-strata indices
 
 
-@dataclass(frozen=True)
 class StratificationLattice:
-    strata: tuple[Stratum, ...]
-    orbits: tuple[tuple[int, ...], ...]  # orbits of strata under the group
+    """The strata in index order; its length is the number of strata."""
+
+    __slots__ = ("strata", "orbits")
+
+    def __init__(self, strata, orbits):
+        self.strata: tuple[Stratum, ...] = strata
+        # orbits of strata under the group
+        self.orbits: tuple[tuple[int, ...], ...] = orbits
 
     def __len__(self):
         return len(self.strata)
@@ -230,16 +234,14 @@ def parse_fiber_data(document) -> dict[int, int]:
     return fibers
 
 
-@dataclass(frozen=True)
-class StratumCheck:
+class StratumCheck(NamedTuple):
     stratum_index: int
     codim: int
     fiber_dim: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class SemismallReport:
+class SemismallReport(NamedTuple):
     checks: tuple[StratumCheck, ...]
     passed: bool
 

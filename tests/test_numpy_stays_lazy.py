@@ -1,6 +1,9 @@
-"""numpy is for `spectrum` alone: importing the package, or running any
-other command, must not load it (it and its BLAS threads cost more than
-most commands' own work)."""
+"""Each command imports only what it runs.  numpy is for `spectrum`
+alone: importing the package, or running any other command, must not
+load it (it and its BLAS threads cost more than most commands' own
+work).  The catalog, and `dataclasses`, which its entries use, are for
+`catalog` alone: start-up dominates most commands, and `dataclasses`
+brings `inspect`, `ast`, `dis` and `tokenize` with it."""
 
 import ast
 import json
@@ -17,15 +20,19 @@ from sympref.specio import serialize_group_spec, spec_from_group
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "sympref").glob("*.py"))
 
+# the modules whose loading the tests watch
+WATCHED = ("numpy", "dataclasses", "sympref.catalog")
+REPORT = "print(' '.join(m for m in %r if m in sys.modules))\n" % (WATCHED,)
+
 # runs the command line as `python -m sympref.cli` does, with its exit
-# code, and reports whether numpy was loaded
+# code, and reports which watched modules were loaded
 RUN_CLI = (
     "import runpy, sys\n"
     "sys.argv = ['sympref'] + sys.argv[1:]\n"
     "try:\n"
     "    runpy.run_module('sympref.cli', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
-    "    print('numpy' in sys.modules)\n"
+    "    " + REPORT
 )
 
 LINEAR_SWAP = {
@@ -36,7 +43,8 @@ LINEAR_SWAP = {
 }
 
 
-def numpy_loaded(code, *args, cwd):
+def loaded_modules(code, *args, cwd):
+    """The watched modules that running code loaded."""
     # the package under test, wherever the test process found it
     path = [str(Path(sympref.__file__).resolve().parents[1])]
     path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -46,13 +54,28 @@ def numpy_loaded(code, *args, cwd):
         capture_output=True, text=True, cwd=cwd, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def write_inputs(tmp_path):
+    (tmp_path / "s2.json").write_text(
+        serialize_group_spec(spec_from_group("s2", get_entry("symmetric_n2").build()))
+    )
+    (tmp_path / "fibers.json").write_text('{"fibers": {"0": 0, "1": 1}}')
+    (tmp_path / "swap.json").write_text(json.dumps(LINEAR_SWAP))
+    (tmp_path / "theta.json").write_text('{"theta": [[0, 2], [-2, 0]]}')
 
 
 @pytest.mark.parametrize("module", ["sympref", "sympref.cli"])
 def test_import_does_not_load_numpy(tmp_path, module):
-    code = "import sys, %s; print('numpy' in sys.modules)" % module
-    assert not numpy_loaded(code, cwd=tmp_path)
+    code = "import sys, %s\n%s" % (module, REPORT)
+    assert "numpy" not in loaded_modules(code, cwd=tmp_path)
+
+
+@pytest.mark.parametrize("module", ["sympref", "sympref.cli"])
+def test_import_loads_neither_dataclasses_nor_the_catalog(tmp_path, module):
+    code = "import sys, %s\n%s" % (module, REPORT)
+    assert loaded_modules(code, cwd=tmp_path) == set()
 
 
 @pytest.mark.parametrize(
@@ -66,13 +89,26 @@ def test_import_does_not_load_numpy(tmp_path, module):
     ],
 )
 def test_only_spectrum_loads_numpy(tmp_path, argv, loads):
-    (tmp_path / "s2.json").write_text(
-        serialize_group_spec(spec_from_group("s2", get_entry("symmetric_n2").build()))
-    )
-    (tmp_path / "fibers.json").write_text('{"fibers": {"0": 0, "1": 1}}')
-    (tmp_path / "swap.json").write_text(json.dumps(LINEAR_SWAP))
-    (tmp_path / "theta.json").write_text('{"theta": [[0, 2], [-2, 0]]}')
-    assert numpy_loaded(RUN_CLI, *argv, cwd=tmp_path) is loads
+    write_inputs(tmp_path)
+    assert ("numpy" in loaded_modules(RUN_CLI, *argv, cwd=tmp_path)) is loads
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["analyze", "s2.json"], False),
+        (["analyze", "--strata", "s2.json"], False),
+        (["analyze", "--json", "--strata", "s2.json"], False),
+        (["semismall", "s2.json", "fibers.json"], False),
+        (["double", "swap.json"], False),
+        (["catalog", "list"], True),
+        (["catalog", "emit", "symmetric_n2"], True),
+    ],
+)
+def test_only_catalog_loads_the_catalog_and_dataclasses(tmp_path, argv, loads):
+    write_inputs(tmp_path)
+    found = loaded_modules(RUN_CLI, *argv, cwd=tmp_path) - {"numpy"}
+    assert found == ({"dataclasses", "sympref.catalog"} if loads else set())
 
 
 def _numpy_imports(tree):

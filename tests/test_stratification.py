@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -375,8 +374,8 @@ def galois(mat, k):
 
 def galois_invariants(group):
     report = analyze(group, with_strata=True)
-    return dataclasses.replace(
-        report, strata=sorted(tuple(sorted(s.items())) for s in report.strata)
+    return report._replace(
+        strata=sorted(tuple(sorted(s.items())) for s in report.strata)
     )
 
 
