@@ -198,12 +198,11 @@ def _normalized_trace_table(m: int) -> tuple[Fraction, ...]:
     return tuple(table)
 
 
-def _check_conductors(a: int, b: int) -> None:
+def _same_conductor(a: int, b: int) -> int:
+    """The common conductor of two operands, which must be equal."""
     if a != b:
-        raise ConductorMismatch(
-            "conductors %d and %d differ; promote to a common "
-            "conductor first" % (a, b)
-        )
+        raise ConductorMismatch("conductors %d and %d differ" % (a, b))
+    return a
 
 
 class CyclotomicNumber:
@@ -250,7 +249,7 @@ class CyclotomicNumber:
         into one result: no intermediate sums are built."""
         acc = [0] * _degree(conductor)
         for v in values:
-            _check_conductors(conductor, v.conductor)
+            _same_conductor(conductor, v.conductor)
             for k, c in enumerate(v.coeffs):
                 if c:
                     acc[k] += c
@@ -270,7 +269,7 @@ class CyclotomicNumber:
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
-            _check_conductors(self.conductor, other.conductor)
+            _same_conductor(self.conductor, other.conductor)
             return other
         if isinstance(other, (int, Fraction)):
             return CyclotomicNumber.rational(other, self.conductor)

@@ -6,28 +6,24 @@ live in a fixed canonical order, with the identity at index 0 and the
 rest sorted by their coefficient keys.  The closure runs on Omega, the
 orbit of the identity's rows under v -> v g.  An element is the tuple
 of its rows' positions in Omega, so x g is one lookup per row; each row
-image v g is a vector-matrix product, made the first time it is needed,
-and an element's matrix is built from its rows without arithmetic.  The
-closure's products are kept as the regular representation (a
-permutation table per generator, a Schreier word per element), so
-products and inverses of elements are table walks that touch no matrix.
+image v g is a vector-matrix product, made the first time it is needed.
+A group keeps only what the closure made: Omega's points, each
+element's row tuple, its trace, and the closure's products as the
+regular representation (a permutation table per generator, a Schreier
+word per element).  A product of elements is a table walk, an inverse
+a walk along the element's powers; an element's matrix is stacked from
+its rows when asked for, and a matrix is found by its rows in Omega.
 Everything downstream works with element indices, which is what makes
-reports deterministic.  Each new element's trace is kept, and checked
-against bounds every element of finite order meets, so that most
-infinite groups stop at their first element of infinite order instead
-of at the order bound.
+reports deterministic.  Each new element's trace, the sum of its rows'
+diagonal entries, is checked against bounds every element of finite
+order meets, so that most infinite groups stop at their first element
+of infinite order instead of at the order bound.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import BadInput, CyclotomicNumber
-from .linalg import (
-    DimensionMismatch,
-    ExactMatrix,
-    _same_conductor,
-    check_form,
-    is_symplectic,
-)
+from .cyclotomic import BadInput, CyclotomicNumber, _same_conductor
+from .linalg import DimensionMismatch, ExactMatrix, check_form, is_symplectic
 
 DEFAULT_MAX_ORDER = 100_000
 
@@ -67,10 +63,11 @@ class NotAMember(ValueError):
 def _closure(start, generators, multiply, max_size):
     """Breadth-first closure of start under x -> multiply(x, g), g a
     generator: group closure and generated subgroups start at the
-    identity, `orbits` at a point.  Handles must be hashable.  Returns
-    them in discovery order (start first), the tables (tables[k][i] is
-    the position of multiply(elements[i], generators[k])) and the
-    Schreier words (the generator positions taking start to elements[i]).
+    identity, `orbits` and the lattice's stratum orbits at a point.
+    Handles must be hashable.  Returns them in discovery order (start
+    first), the tables (tables[k][i] is the position of
+    multiply(elements[i], generators[k])) and the Schreier words (the
+    generator positions taking start to elements[i]).
     """
     elements = [start]
     position = {start: 0}
@@ -90,10 +87,10 @@ def _closure(start, generators, multiply, max_size):
     return elements, tables, words
 
 
-def _checked_trace(x: ExactMatrix, bound: int) -> CyclotomicNumber:
-    """The trace t of a closure element x, checked against what holds
-    for every element of finite order in dimension n.  Then t is a sum
-    of n roots of unity, so:
+def _checked_trace(t: CyclotomicNumber, n: int, bound: int) -> CyclotomicNumber:
+    """The trace t of a closure element other than the identity, checked
+    against what holds for every element of finite order in dimension n.
+    Then t is a sum of n roots of unity, so:
 
     - t is an algebraic integer: its power-basis coefficients are
       integers, Z[zeta_m] being the ring of integers of Q(zeta_m);
@@ -101,15 +98,13 @@ def _checked_trace(x: ExactMatrix, bound: int) -> CyclotomicNumber:
       mean square, the normalized trace of t * conj(t), is at most n^2;
     - t = n only for the identity, all eigenvalues being 1.
 
-    A failure proves that x, and so the group, is infinite.
+    A failure proves that the element, and so the group, is infinite.
     """
-    n = x.rows
-    t = x.trace()
     if any(c.denominator != 1 for c in t.coeffs):
         reason = "is not an algebraic integer"
     elif (t * t.conjugate()).normalized_trace() > n * n:
         reason = "has a Galois conjugate of absolute value above %d" % n
-    elif t == n and not x.is_identity():
+    elif t == n:
         reason = "equals the dimension, but the element is not the identity"
     else:
         return t
@@ -128,51 +123,36 @@ def _checked_trace(x: ExactMatrix, bound: int) -> CyclotomicNumber:
     )
 
 
-def _canonical(dimension, conductor, omega, generators, found, tables, words,
-               traces):
-    """The group of closure output `found` (discovery order, identity
-    first), renumbered into canonical order: identity, then by key."""
-    order = [0] + sorted(range(1, len(found)), key=lambda i: found[i].key())
-    renumber = sorted(range(len(order)), key=order.__getitem__)  # inverse
-    return FiniteMatrixGroup(
-        dimension, conductor, omega, generators,
-        [found[i] for i in order],
-        [[renumber[t[i]] for i in order] for t in tables],
-        [words[i] for i in order],
-        [traces[i] for i in order],
-    )
-
-
 class FiniteMatrixGroup:
     """A finite group of exact matrices, fully enumerated.
 
     omega is the preserved symplectic form, or None for a plain linear
-    action (no form checked or stored).  tables and words are those of
-    _closure, renumbered to the canonical order; traces[i] is the trace
-    of elements[i].
+    action (no form checked or stored).  points are Omega's rows, as
+    1 x n matrices; rows[i] is the tuple of the positions in Omega of
+    element i's rows.  tables and words are those of _closure,
+    renumbered to the canonical order; traces[i] is the trace of
+    element i.
     """
 
     __slots__ = (
-        "dimension", "conductor", "omega", "generators", "elements",
-        "traces", "_index", "_tables", "_inverse_tables", "_words",
+        "dimension", "conductor", "omega", "generators", "traces",
+        "_points", "_where", "_rows", "_position", "_tables", "_words",
         "_conjugations",
     )
 
-    def __init__(self, dimension, conductor, omega, generators, elements,
+    def __init__(self, dimension, conductor, omega, generators, points, rows,
                  tables, words, traces):
         self.dimension = dimension
         self.conductor = conductor
         self.omega = omega
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
         self.traces = tuple(traces)
-        self._index = {m.key(): i for i, m in enumerate(self.elements)}
+        self._points = tuple(points)
+        self._where = {p.key(): a for a, p in enumerate(self._points)}
+        self._rows = tuple(rows)
+        self._position = {x: i for i, x in enumerate(self._rows)}
         self._tables = tuple(tables)
         self._words = tuple(words)
-        # inverse permutations: position j holds the i with table[i] == j
-        self._inverse_tables = tuple(
-            sorted(range(len(t)), key=t.__getitem__) for t in self._tables
-        )
         self._conjugations = None
 
     @classmethod
@@ -222,29 +202,48 @@ class FiniteMatrixGroup:
             return moves[k][a]
 
         start = tuple(range(n))
-        made = {start: (identity, identity.trace())}
+        traces = {start: identity.trace()}
 
         def multiply(x, k):
             y = tuple(move(a, k) for a in x)
-            if y not in made:  # every element but the identity is met here
-                m = ExactMatrix.stack([points[a] for a in y])
-                made[y] = m, _checked_trace(m, max_order)
+            if y not in traces:  # every element but the identity is met here
+                diagonal = [points[a].entries[i] for i, a in enumerate(y)]
+                traces[y] = _checked_trace(
+                    CyclotomicNumber.sum_of(diagonal, conductor), n, max_order
+                )
             return y
 
         found, tables, words = _closure(start, range(len(moves)), multiply, max_order)
-        matrices, traces = zip(*(made[x] for x in found))
-        return _canonical(n, conductor, omega, gens, matrices, tables, words, traces)
+        # canonical order: the identity, then by key; a matrix key is its
+        # rows' keys in turn
+        order = [0] + sorted(
+            range(1, len(found)), key=lambda i: [points[a].key() for a in found[i]]
+        )
+        renumber = sorted(range(len(order)), key=order.__getitem__)  # inverse
+        return cls(
+            n, conductor, omega, gens, points,
+            [found[i] for i in order],
+            [[renumber[t[i]] for i in order] for t in tables],
+            [words[i] for i in order],
+            [traces[found[i]] for i in order],
+        )
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._rows)
 
     @property
     def identity_index(self) -> int:
         return 0
 
     def element(self, index: int) -> ExactMatrix:
-        return self.elements[index]
+        """The matrix of element index, stacked from its rows."""
+        return ExactMatrix.stack([self._points[a] for a in self._rows[index]])
+
+    @property
+    def elements(self) -> tuple[ExactMatrix, ...]:
+        """Every element's matrix, in index order, built on each read."""
+        return tuple(map(self.element, range(self.order)))
 
     def is_member(self, mat: ExactMatrix) -> bool:
         try:
@@ -257,8 +256,11 @@ class FiniteMatrixGroup:
         if mat.rows != self.dimension or mat.cols != self.dimension:
             raise NotAMember("matrix has the wrong shape for this group")
         _same_conductor(mat.conductor, self.conductor)
+        n, key = self.dimension, mat.key()
         try:
-            return self._index[mat.key()]
+            return self._position[
+                tuple(self._where[key[i * n : (i + 1) * n]] for i in range(n))
+            ]
         except KeyError:
             raise NotAMember("matrix is not an element of this group") from None
 
@@ -268,10 +270,8 @@ class FiniteMatrixGroup:
         return i
 
     def inverse_index(self, i: int) -> int:
-        x = self.identity_index
-        for k in reversed(self._words[i]):
-            x = self._inverse_tables[k][x]
-        return x
+        """The last power of i before the identity."""
+        return powers(self, i)[-1]
 
     def generator_indices(self) -> tuple[int, ...]:
         """Indices of the distinct generators, in generator order."""
@@ -292,7 +292,7 @@ class FiniteMatrixGroup:
         return self._conjugations
 
     def __len__(self):
-        return len(self.elements)
+        return self.order
 
     def __repr__(self):
         kind = "symplectic" if self.omega is not None else "linear"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import BadInput, ConductorMismatch, CyclotomicNumber
+from .cyclotomic import BadInput, CyclotomicNumber, _same_conductor
 
 
 class DimensionMismatch(BadInput):
@@ -34,12 +34,6 @@ class SingularMatrix(ArithmeticError):
 
 class BadForm(BadInput):
     """A claimed symplectic form is not antisymmetric or not invertible."""
-
-
-def _same_conductor(a: int, b: int) -> int:
-    if a != b:
-        raise ConductorMismatch("conductors %d and %d differ" % (a, b))
-    return a
 
 
 def _coerce_entry(value, conductor):

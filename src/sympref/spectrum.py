@@ -70,35 +70,14 @@ def _differs(a, b, tol):
 
 
 def pfaffian(matrix) -> complex:
-    """Pfaffian of an antisymmetric matrix.
-
-    Uses direct expansion along the first row up to dimension 8 and
-    skew-symmetric tridiagonalization with pivoting beyond that.  The
-    input is trusted to be antisymmetric; only the shape is checked.
+    """Pfaffian of an antisymmetric matrix, by skew-symmetric
+    tridiagonalization with pivoting.  The input is trusted to be
+    antisymmetric; only the shape is checked.
     """
     a = _as_square(matrix, "matrix")
-    n = a.shape[0]
-    if n % 2:
+    if a.shape[0] % 2:
         return 0.0 + 0.0j
-    if n == 0:
-        return 1.0 + 0.0j
-    if n <= 8:
-        return _pfaffian_expansion(a, tuple(range(n)))
     return _pfaffian_tridiagonal(a)
-
-
-def _pfaffian_expansion(a, idxs):
-    if not idxs:
-        return 1.0 + 0.0j
-    i0 = idxs[0]
-    rest = idxs[1:]
-    total = 0.0 + 0.0j
-    for t, j in enumerate(rest):
-        entry = a[i0, j]
-        if entry != 0:
-            remaining = rest[:t] + rest[t + 1 :]
-            total += (-1) ** t * entry * _pfaffian_expansion(a, remaining)
-    return total
 
 
 def _pfaffian_tridiagonal(a):

@@ -17,8 +17,8 @@ K_S | K_A is a known mask (as it is when the masks are comparable), or
 when a known stratum with a mask above K_S | K_A (which lies in S ^ A)
 has the dimension of S ^ A, dim S + dim A - dim(S + A).  A new meet is
 intersected once and its orbit moved by the generator matrices.  Each
-orbit, of atoms or of meets, is walked once, and the lattice reports
-the orbits it walked.
+orbit, of atoms or of meets, is walked once, by the closure routine of
+`groups`, and the lattice reports the orbits it walked.
 
 Strata are ordered by ascending codimension, then by canonical
 subspace key, so stratum indices are stable and can be referenced from
@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple
 
 from .cyclotomic import BadInput
-from .groups import FiniteMatrixGroup, powers
+from .groups import FiniteMatrixGroup, _closure, powers
 from .jsonin import load_json
 from .linalg import Subspace, fixed_space
 
@@ -102,31 +102,43 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
 
     conjugations = group.conjugations()
     gens = [group.element(i) for i in group.generator_indices()]
-    # the atoms' masks, one stabilizer per conjugation orbit: g V^x is
-    # V^(g x g^-1), with pointwise stabilizer g K g^-1
-    masks, walks = {}, []
-    for k in owners:
-        if k not in masks:
-            masks[k] = stabilizer(spaces[k], owners[k])
-            orbit = [k]
-            for a in orbit:
-                x = owners[a].bit_length() - 1  # an element with V^x = a
-                for conj in conjugations:
-                    b = atom_of[conj[x]]
-                    if b not in masks:
-                        masks[b] = _conjugate(masks[a], conj)
-                        orbit.append(b)
-            walks.append([masks[a] for a in orbit])
+    found, walks = {}, []  # strata by pointwise stabilizer; orbits walked
 
-    # strata by pointwise stabilizer; S = V^(K_S), so a mask names its
-    # stratum, and V^(K_S | K_A) is the meet of S and A
-    found = {masks[k]: spaces[k] for k in owners}
-    atoms = list(found.items())
+    def move(m, k):
+        # g S has mask g K_S g^-1.  Its subspace is recorded when first
+        # met: an atom's is looked up, as g V^x is V^(g x g^-1), and a
+        # meet's is moved by the generator's matrix
+        image = _conjugate(m, conjugations[k])
+        if image not in found:
+            s = found[m]
+            if s.key() in owners:
+                x = owners[s.key()].bit_length() - 1  # an element with V^x = s
+                found[image] = spaces[atom_of[conjugations[k][x]]]
+            else:
+                found[image] = Subspace.from_spanning(
+                    group.dimension, [gens[k].apply(v) for v in s.basis],
+                    group.conductor,
+                )
+        return image
+
+    def walk(mask, space):
+        found[mask] = space
+        walks.append(_closure(mask, range(len(gens)), move, group.order)[0])
+
+    # the atoms' masks, one stabilizer per conjugation orbit
+    atom_masks = {}
+    for key in owners:
+        if key not in atom_masks:
+            walk(stabilizer(spaces[key], owners[key]), spaces[key])
+            atom_masks.update((found[m].key(), m) for m in walks[-1])
+    # S = V^(K_S), so a mask names its stratum, and V^(K_S | K_A) is the
+    # meet of S and A
+    atoms = [(atom_masks[key], spaces[key]) for key in owners]
     # every stratum is a meet of atoms, and (g S) ^ A = g (S ^ g^-1 A),
     # so it is enough to meet each orbit's first member with the atoms;
     # walks grows while it is scanned
-    for walk in walks:
-        k = walk[0]
+    for orbit in walks:
+        k = orbit[0]
         s = found[k]
         for mask, a in atoms:
             both = k | mask
@@ -138,20 +150,7 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
             if any(m & both == both and t.dim == dim for m, t in found.items()):
                 continue
             cap = s.intersect(a)
-            cap_mask = stabilizer(cap, both)
-            found[cap_mask] = cap
-            orbit = [cap_mask]
-            for m in orbit:
-                for g, conj in zip(gens, conjugations):
-                    image = _conjugate(m, conj)
-                    if image not in found:
-                        found[image] = Subspace.from_spanning(
-                            group.dimension,
-                            [g.apply(v) for v in found[m].basis],
-                            group.conductor,
-                        )
-                        orbit.append(image)
-            walks.append(orbit)
+            walk(stabilizer(cap, both), cap)
 
     stabs = sorted(found, key=lambda m: (found[m].codim, found[m].key()))
     # S_j lies strictly below S_i exactly when K_i is a proper subset of K_j

@@ -115,16 +115,23 @@ def test_closure_matches_brute_force_oracle():
 def test_closure_multiplies_only_rows_by_generators(monkeypatch):
     # S3 permutes the 3 basis rows: Omega has 3 points, each moved once
     # by each of the 2 generators, and no element is multiplied out
-    shapes = []
-    mul = ExactMatrix.__mul__
+    # and no element's matrix is stacked from its rows
+    shapes, stacks = [], []
+    mul, stack = ExactMatrix.__mul__, ExactMatrix.stack.__func__
 
     def counted(a, b):
         shapes.append((a.rows, a.cols, b.rows, b.cols))
         return mul(a, b)
 
+    def counted_stack(cls, rows):
+        stacks.append(len(rows))
+        return stack(cls, rows)
+
     monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    monkeypatch.setattr(ExactMatrix, "stack", classmethod(counted_stack))
     assert s3_group().order == 6
     assert shapes == [(1, 3, 3, 3)] * 6
+    assert stacks == []
 
 
 def test_canonical_order_ignores_generator_order():
@@ -215,6 +222,9 @@ def test_membership_and_indexing():
     assert not g.is_member(ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(NotAMember):
         g.index_of(ExactMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    # every row lies in Omega, but together they form no element
+    with pytest.raises(NotAMember):
+        g.index_of(ExactMatrix.from_rows([[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
     # a matrix at another conductor is a caller's error, not a non-member
     with pytest.raises(ConductorMismatch):
         g.is_member(ExactMatrix.identity(3, 5))
@@ -229,15 +239,30 @@ def test_product_and_inverse_indices():
 
 
 @pytest.mark.parametrize(
-    "name", ["symmetric_n3", "imprimitive_3_1_2", "sl2_binary_tetrahedral"]
+    "name",
+    [
+        "symmetric_n3", "imprimitive_3_1_2", "sl2_binary_tetrahedral",
+        "sl2_binary_octahedral", "sl2_binary_icosahedral",
+    ],
 )
 def test_index_arithmetic_matches_exact_matrices(name):
-    # imprimitive_3_1_2 is built by doubling, the others by closure
+    # imprimitive_3_1_2 is built by doubling, the others by closure; the
+    # binary octahedral and icosahedral groups have elements of order 8
+    # and 10, whose inverses are long walks along their powers
     g = build_entry(name)
     for i, a in enumerate(g.elements):
         assert g.inverse_index(i) == g.index_of(a.inverse())
         for j, b in enumerate(g.elements):
             assert g.product_index(i, j) == g.index_of(a * b)
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in CATALOG if e.expected_order <= 54]
+)
+def test_element_matrices_are_built_from_rows_and_found_again(name):
+    g = build_entry(name)
+    assert list(g.elements) == [g.element(i) for i in range(g.order)]
+    assert [g.index_of(g.element(i)) for i in range(g.order)] == list(range(g.order))
 
 
 def test_powers_are_the_cyclic_subgroup():

@@ -7,7 +7,7 @@ from sympref.spectrum import (
     pfaffian,
     symplectic_eigenvalues,
 )
-from sympref.spectrum import _pfaffian_expansion, _pfaffian_tridiagonal
+from sympref.spectrum import _pfaffian_tridiagonal
 
 
 def standard_form(n):
@@ -25,6 +25,21 @@ def block_form(lams):
         j[2 * i, 2 * i + 1] = lam
         j[2 * i + 1, 2 * i] = -lam
     return j
+
+
+def _pfaffian_expansion(a, idxs):
+    """Reference Pfaffian: expansion along the first row."""
+    if not idxs:
+        return 1.0 + 0.0j
+    i0 = idxs[0]
+    rest = idxs[1:]
+    total = 0.0 + 0.0j
+    for t, j in enumerate(rest):
+        entry = a[i0, j]
+        if entry != 0:
+            remaining = rest[:t] + rest[t + 1 :]
+            total += (-1) ** t * entry * _pfaffian_expansion(a, remaining)
+    return total
 
 
 def random_antisymmetric(rng, n, complex_entries=False):
