@@ -16,7 +16,7 @@ import sys
 
 from .cyclotomic import BadInput
 from .groups import DEFAULT_MAX_ORDER, OrderBoundExceeded
-from .jsonin import load_json
+from .jsonin import load_json, refuse_unknown_keys
 from .reflections import VERDICT_HOLDS, double
 from .spectrum import (
     DEFAULT_INPUT_TOL,
@@ -63,11 +63,6 @@ def _write_output(text, path) -> None:
             handle.write(text)
 
 
-def _load_group(args):
-    doc = parse_group_spec(_read_file(args.spec))
-    return make_group(doc, args.max_order)
-
-
 def _cmd_analyze(args) -> int:
     doc = parse_group_spec(_read_file(args.spec))
     if doc.symplectic_form is None:
@@ -83,7 +78,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_semismall(args) -> int:
-    group = _load_group(args)
+    group = make_group(parse_group_spec(_read_file(args.spec)), args.max_order)
     fibers = parse_fiber_data(_read_file(args.fibers))
     lattice = build_lattice(group)
     result = semismall_check(lattice, fibers)
@@ -149,6 +144,7 @@ def _cmd_spectrum(args) -> int:
     payload = load_json(_read_file(args.theta), BadInput)
     if not isinstance(payload, dict) or "theta" not in payload:
         raise BadInput('spectrum input needs a "theta" matrix')
+    refuse_unknown_keys(payload, ("theta", "metric"), BadInput)
     values = symplectic_eigenvalues(
         payload["theta"],
         payload.get("metric"),

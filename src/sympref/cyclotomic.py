@@ -167,16 +167,15 @@ def _reduce(coeffs, m: int) -> tuple:
 
 
 def _poly_divmod(num, den):
+    """Quotient and remainder of num by the monic polynomial den."""
     num = list(num)
     while num and not num[-1]:
         num.pop()
     dn = len(den) - 1
-    lead = den[dn]
     quot = [0] * max(len(num) - dn, 0)
     for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            q = _quotient(c, lead)
+        q = num[i]
+        if q:
             quot[i - dn] = q
             for j in range(dn + 1):
                 if den[j]:
@@ -208,7 +207,7 @@ def _same_conductor(a: int, b: int) -> int:
 class CyclotomicNumber:
     """An element of Q(zeta_m), immutable."""
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
         coeffs = tuple(map(_exact, coeffs))
@@ -220,7 +219,6 @@ class CyclotomicNumber:
             )
         self.conductor = conductor
         self.coeffs = coeffs
-        self._hash = None
 
     @classmethod
     def rational(cls, value, conductor: int = 1) -> "CyclotomicNumber":
@@ -321,36 +319,33 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse via the extended Euclidean algorithm, each
+        remainder made monic before it divides, so coefficients stay small."""
         if self.is_zero():
             raise DivisionByZero("cannot invert zero")
         r0 = list(cyclotomic_polynomial(self.conductor))
         r1 = list(self.coeffs)
         t0, t1 = [0], [1]
         while True:
-            while r1 and not r1[-1]:
+            while not r1[-1]:
                 r1.pop()
+            lead = r1[-1]
+            if lead != 1:
+                r1 = [_quotient(c, lead) for c in r1]
+                t1 = [_quotient(c, lead) for c in t1]
+            # r1 = t1 * self mod Phi_m, irreducible over Q: r1 ends at 1
             if len(r1) == 1:
-                break
+                return _number(self.conductor, _reduce(t1, self.conductor))
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             # t0 - q*t1
-            prod = [0] * (len(q) + len(t1) - 1)
+            new_t = list(t0) + [0] * max(len(q) + len(t1) - 1 - len(t0), 0)
             for i, qi in enumerate(q):
                 if qi:
                     for j, tj in enumerate(t1):
                         if tj:
-                            prod[i + j] += qi * tj
-            new_t = list(t0) + [0] * max(len(prod) - len(t0), 0)
-            for i, p in enumerate(prod):
-                new_t[i] -= p
+                            new_t[i + j] -= qi * tj
             t0, t1 = t1, new_t
-        # r1 is a nonzero constant (the cyclotomic polynomial is
-        # irreducible over Q, so the gcd with any smaller-degree
-        # nonzero polynomial is 1 up to scale)
-        scale = r1[0]
-        coeffs = [_quotient(c, scale) for c in t1]
-        return _number(self.conductor, _reduce(coeffs, self.conductor))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -426,13 +421,11 @@ class CyclotomicNumber:
         # a rational value hashes as its Fraction, so that it agrees with
         # the ints and Fractions it equals; both hashes are invariant
         # under promotion
-        if self._hash is None:
-            rational = self.rational_value()
-            self._hash = hash(
-                rational if rational is not None else
-                (self.normalized_trace(), (self * self).normalized_trace())
-            )
-        return self._hash
+        rational = self.rational_value()
+        return hash(
+            rational if rational is not None else
+            (self.normalized_trace(), (self * self).normalized_trace())
+        )
 
     def __str__(self):
         if self.is_zero():
@@ -464,5 +457,4 @@ def _number(conductor: int, coeffs: tuple) -> CyclotomicNumber:
     x = object.__new__(CyclotomicNumber)
     x.conductor = conductor
     x.coeffs = coeffs
-    x._hash = None
     return x

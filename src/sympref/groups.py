@@ -194,18 +194,19 @@ class FiniteMatrixGroup:
         moves = [{} for _ in distinct]
 
         def move(a, k):
-            if a not in moves[k]:
-                v = points[a] * distinct[k]
-                moves[k][a] = where.setdefault(v.key(), len(points))
-                if moves[k][a] == len(points):
-                    points.append(v)
-            return moves[k][a]
+            # the first time points[a] meets distinct[k]
+            v = points[a] * distinct[k]
+            b = moves[k][a] = where.setdefault(v.key(), len(points))
+            if b == len(points):
+                points.append(v)
+            return b
 
         start = tuple(range(n))
         traces = {start: identity.trace()}
 
         def multiply(x, k):
-            y = tuple(move(a, k) for a in x)
+            known = moves[k]
+            y = tuple([known[a] if a in known else move(a, k) for a in x])
             if y not in traces:  # every element but the identity is met here
                 diagonal = [points[a].entries[i] for i, a in enumerate(y)]
                 traces[y] = _checked_trace(
@@ -274,8 +275,9 @@ class FiniteMatrixGroup:
         return powers(self, i)[-1]
 
     def generator_indices(self) -> tuple[int, ...]:
-        """Indices of the distinct generators, in generator order."""
-        return tuple(dict.fromkeys(self.index_of(g) for g in self.generators))
+        """Indices of the distinct generators other than the identity, in
+        generator order: tables[k] and conjugations()[k] belong to the k-th."""
+        return tuple(t[0] for t in self._tables)
 
     def conjugations(self) -> tuple[tuple[int, ...], ...]:
         """Per distinct generator g, the permutation of element indices

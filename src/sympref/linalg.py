@@ -94,18 +94,11 @@ class ExactMatrix:
         return cls(rows, cols, conductor, [z] * (rows * cols))
 
     @classmethod
-    def from_columns(cls, column_vectors, conductor: int = 1) -> "ExactMatrix":
-        return cls.from_rows(column_vectors, conductor).transpose()
-
-    @classmethod
     def stack(cls, rows) -> "ExactMatrix":
         """The matrix whose rows are the 1 x n matrices `rows`.  Its
-        entries and key are theirs, shared, so stacking does no
-        arithmetic and stacks of the same rows share their memory."""
-        m = cls(len(rows), rows[0].cols, rows[0].conductor,
-                [e for r in rows for e in r.entries])
-        m._key = tuple(k for r in rows for k in r.key())
-        return m
+        entries are theirs, shared, so stacking does no arithmetic."""
+        return cls(len(rows), rows[0].cols, rows[0].conductor,
+                   [e for r in rows for e in r.entries])
 
     def entry(self, i: int, j: int) -> CyclotomicNumber:
         return self.entries[i * self.cols + j]
@@ -369,21 +362,23 @@ class Subspace:
     def contains_vector(self, vector) -> bool:
         return not any(self._residual(vector))
 
+    def _same_ambient(self, other: "Subspace") -> int:
+        """The common conductor of two subspaces of one ambient space."""
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionMismatch("ambient dimensions differ")
+        return _same_conductor(self.conductor, other.conductor)
+
     def join_dim(self, other: "Subspace") -> int:
         """dim(self + other): the rank of the smaller basis reduced
         against the larger one's echelon rows, added to its dimension."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        _same_conductor(self.conductor, other.conductor)
+        self._same_ambient(other)
         if self.dim < other.dim:
             return other.join_dim(self)
         residuals = [self._residual(vec) for vec in other.basis]
         return self.dim + len(_row_reduce(residuals))
 
     def is_subspace_of(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        _same_conductor(self.conductor, other.conductor)
+        self._same_ambient(other)
         if self.dim > other.dim:
             return False
         return all(other.contains_vector(vec) for vec in self.basis)
@@ -393,15 +388,12 @@ class Subspace:
         kernel other, so the weights c with sum c_i s_i in other, over
         self's basis s_i, are the kernel of the matrix whose columns are
         the residuals of the s_i."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        m = _same_conductor(self.conductor, other.conductor)
+        m = self._same_ambient(other)
         n = self.ambient_dim
         if self.dim == 0 or other.dim == 0:
             return Subspace.from_spanning(n, [], m)
-        weights = ExactMatrix.from_columns(
-            [other._residual(vec) for vec in self.basis], m
-        ).kernel()
+        residuals = [x for vec in self.basis for x in other._residual(vec)]
+        weights = ExactMatrix(self.dim, n, m, residuals).transpose().kernel()
         meet = ExactMatrix(
             weights.dim, self.dim, m, [c for w in weights.basis for c in w]
         ) * ExactMatrix(self.dim, n, m, [x for vec in self.basis for x in vec])
@@ -441,27 +433,26 @@ def fixed_space(g: ExactMatrix) -> Subspace:
     return (g - ExactMatrix.identity(g.rows, g.conductor)).kernel()
 
 
+def _form(dim: int, pairs, conductor: int) -> ExactMatrix:
+    """The dim x dim matrix with 1 at each (i, j) of pairs, -1 at (j, i)."""
+    one, zero = CyclotomicNumber.one(conductor), CyclotomicNumber.zero(conductor)
+    entries = [zero] * (dim * dim)
+    for i, j in pairs:
+        entries[i * dim + j], entries[j * dim + i] = one, -one
+    return ExactMatrix(dim, dim, conductor, entries)
+
+
 def standard_symplectic_form(dim: int, conductor: int = 1) -> ExactMatrix:
     """Block-diagonal form with 2x2 blocks [[0, 1], [-1, 0]]."""
     if dim % 2:
         raise BadForm("symplectic forms need even dimension")
-    one = CyclotomicNumber.one(conductor)
-    rows = [[0] * dim for _ in range(dim)]
-    for k in range(0, dim, 2):
-        rows[k][k + 1] = one
-        rows[k + 1][k] = -one
-    return ExactMatrix.from_rows(rows, conductor)
+    return _form(dim, [(k, k + 1) for k in range(0, dim, 2)], conductor)
 
 
 def pairing_form(half_dim: int, conductor: int = 1) -> ExactMatrix:
     """The form [[0, I], [-I, 0]] pairing a space with its dual."""
-    one = CyclotomicNumber.one(conductor)
-    dim = 2 * half_dim
-    rows = [[0] * dim for _ in range(dim)]
-    for k in range(half_dim):
-        rows[k][half_dim + k] = one
-        rows[half_dim + k][k] = -one
-    return ExactMatrix.from_rows(rows, conductor)
+    pairs = [(k, half_dim + k) for k in range(half_dim)]
+    return _form(2 * half_dim, pairs, conductor)
 
 
 def check_form(omega: ExactMatrix) -> None:

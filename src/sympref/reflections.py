@@ -52,11 +52,12 @@ class ReflectionCensus(NamedTuple):
 def census(group: FiniteMatrixGroup) -> ReflectionCensus:
     """Classify every element by the codimension of its fixed space."""
     traces = group.traces
-    zero = CyclotomicNumber.zero(group.conductor)
     codims = []
     for i in range(group.order):
         cyclic = powers(group, i)
-        total = sum((traces[j] for j in cyclic), zero).rational_value()
+        total = CyclotomicNumber.sum_of(
+            [traces[j] for j in cyclic], group.conductor
+        ).rational_value()
         if total is None or total % len(cyclic) or not (
             0 <= total <= group.dimension * len(cyclic)
         ):

@@ -32,7 +32,7 @@ from .groups import (
     FiniteMatrixGroup,
     conjugacy_classes,
 )
-from .jsonin import load_json
+from .jsonin import load_json, quote, refuse_unknown_keys
 from .linalg import BadForm, ExactMatrix, check_form, standard_symplectic_form
 from .reflections import (
     census,
@@ -91,7 +91,7 @@ def _parse_rational(value, path) -> Fraction:
         _fail(path, "floats are not exact; use a rational string")
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
-            _fail(path, "malformed rational %r" % value)
+            _fail(path, "malformed rational %s" % quote(value))
         try:
             return Fraction(value)
         except ValueError:  # over Python's limit on integer digits
@@ -101,9 +101,9 @@ def _parse_rational(value, path) -> Fraction:
 
 def _parse_scalar(value, conductor, path) -> CyclotomicNumber:
     if isinstance(value, dict):
-        extra = set(value) - {"conductor", "coeffs"}
-        if extra:
-            _fail(path, "unknown keys %s" % sorted(extra))
+        refuse_unknown_keys(
+            value, ("conductor", "coeffs"), ValidationError, path + ": "
+        )
         sub = value.get("conductor", conductor)
         if not isinstance(sub, int) or isinstance(sub, bool) or sub < 1:
             _fail(path + ".conductor", "must be a positive integer")
@@ -135,17 +135,16 @@ def _parse_scalar(value, conductor, path) -> CyclotomicNumber:
 def _parse_matrix(value, dimension, conductor, path) -> ExactMatrix:
     if not isinstance(value, list) or len(value) != dimension:
         _fail(path, "expected a list of %d rows" % dimension)
-    rows = []
+    entries = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dimension:
             _fail("%s[%d]" % (path, i), "expected %d entries" % dimension)
-        rows.append(
-            [
-                _parse_scalar(cell, conductor, "%s[%d][%d]" % (path, i, j))
-                for j, cell in enumerate(row)
-            ]
-        )
-    return ExactMatrix.from_rows(rows, conductor)
+        entries += [
+            _parse_scalar(cell, conductor, "%s[%d][%d]" % (path, i, j))
+            for j, cell in enumerate(row)
+        ]
+    # every entry is already at the document conductor
+    return ExactMatrix(dimension, dimension, conductor, entries)
 
 
 def parse_group_spec(document) -> GroupSpecDocument:
@@ -154,11 +153,11 @@ def parse_group_spec(document) -> GroupSpecDocument:
         document = load_json(document, ParseError)
     if not isinstance(document, dict):
         raise ValidationError("top level must be a JSON object")
-    extra = set(document) - {
-        "name", "dimension", "conductor", "symplectic_form", "generators",
-    }
-    if extra:
-        raise ValidationError("unknown keys %s" % sorted(extra))
+    refuse_unknown_keys(
+        document,
+        ("name", "dimension", "conductor", "symplectic_form", "generators"),
+        ValidationError,
+    )
 
     name = document.get("name")
     if not isinstance(name, str):

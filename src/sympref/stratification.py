@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .cyclotomic import BadInput
 from .groups import FiniteMatrixGroup, _closure, powers
-from .jsonin import load_json
+from .jsonin import load_json, quote, refuse_unknown_keys
 from .linalg import Subspace, fixed_space
 
 
@@ -182,46 +182,38 @@ def _conjugate(mask, perm):
     return out
 
 
-def _unique_keys(pairs):
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise FiberDataError("key %r appears twice in one object" % key)
-        out[key] = value
-    return out
-
-
 def parse_fiber_data(document) -> dict[int, int]:
     """Fiber dimensions per stratum index, from a JSON document of the
     form {"fibers": {"<stratum index>": dimension, ...}}.  An index is
     written in plain decimal, and given at most once."""
     if isinstance(document, (str, bytes)):
-        document = load_json(
-            document, FiberDataError, object_pairs_hook=_unique_keys
-        )
+        document = load_json(document, FiberDataError)
     if not isinstance(document, dict):
         raise FiberDataError("fiber document must be a JSON object")
     if "fibers" not in document:
         raise FiberDataError('fiber document needs a "fibers" key')
+    refuse_unknown_keys(document, ("fibers",), FiberDataError)
     raw = document["fibers"]
     if not isinstance(raw, dict):
         raise FiberDataError('"fibers" must map stratum indices to dimensions')
     fibers = {}
     for key, value in raw.items():
         if isinstance(key, str) and len(key) > 20:
-            # a longer index names no stratum, and would flood the error line
+            # a longer index names no stratum, and int() could make it huge
             raise FiberDataError(
-                "stratum index %r... has %d characters, too many for an index"
-                % (key[:20], len(key))
+                "stratum index %s has %d characters, too many for an index"
+                % (quote(key), len(key))
             )
         try:
             idx = int(key)
         except (TypeError, ValueError):
-            raise FiberDataError("stratum index %r is not an integer" % key) from None
+            raise FiberDataError(
+                "stratum index %s is not an integer" % quote(key)
+            ) from None
         if str(idx) != str(key):
             # "01" or " 1" would silently alias stratum 1
             raise FiberDataError(
-                "stratum index %r is not written in plain decimal" % key
+                "stratum index %s is not written in plain decimal" % quote(key)
             )
         if idx < 0:
             raise FiberDataError("stratum index %d is negative" % idx)

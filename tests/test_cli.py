@@ -120,6 +120,8 @@ def test_undecodable_file_is_one_error_line(tmp_path, capsys, command):
 HUGE = "1" * 5000  # over Python's 4300-digit limit on integer strings
 LONG = "1" * 400  # under that limit, but past the float range
 DEEP = "[" * 100000 + "]" * 100000  # past the recursion limit
+KEY = "k" * 5000  # quoted as its first 19 characters after the quote mark
+SHOWN = "'" + "k" * 19 + "..."
 
 
 @pytest.mark.parametrize(
@@ -148,6 +150,66 @@ DEEP = "[" * 100000 + "]" * 100000  # past the recursion limit
             '{"theta": [[0, 1], [-1, 0]], "metric": [[%s, 0], [0, 1]]}' % LONG,
             "metric: int too large to convert to float\n",
         ),
+        (
+            "semismall",
+            '{"fibers": {"%s": 0, "%s": 1}}' % (KEY, KEY),
+            "key %s appears twice in one object\n" % SHOWN,
+        ),
+        ("analyze", json.dumps({**SHEAR, KEY: 1}), "unknown keys [%s]\n" % SHOWN),
+        (
+            "analyze",
+            json.dumps(
+                {**SHEAR, "generators": [[[{"coeffs": ["1"], KEY: 0}, "0"], ["0", "1"]]]}
+            ),
+            "generators[0][0][0]: unknown keys [%s]\n" % SHOWN,
+        ),
+        (
+            "analyze",
+            json.dumps({**SHEAR, "generators": [[[KEY, "0"], ["0", "1"]]]}),
+            "generators[0][0][0]: malformed rational %s\n" % SHOWN,
+        ),
+        (
+            "analyze",
+            '{"%s": 1, "%s": 2}' % (KEY, KEY),
+            "key %s appears twice in one object\n" % SHOWN,
+        ),
+        (
+            "analyze",
+            json.dumps({**SHEAR, **{"x%03d" % i: 0 for i in range(300)}}),
+            "unknown keys ['x000', 'x001', 'x002', 'x003', ...]\n",
+        ),
+        (
+            "semismall",
+            json.dumps({"fibers": {"0": 0, "1": 1}, KEY: 0}),
+            "unknown keys [%s]\n" % SHOWN,
+        ),
+        (
+            "spectrum",
+            '{"theta": [[0, 1], [-1, 0]], "%s": 0, "%s": 1}' % (KEY, KEY),
+            "key %s appears twice in one object\n" % SHOWN,
+        ),
+        (
+            "spectrum",
+            json.dumps({"theta": [[0, 1], [-1, 0]], KEY: 0}),
+            "unknown keys [%s]\n" % SHOWN,
+        ),
+        # each of these ran on the last or the default value without a word
+        (
+            "spectrum",
+            '{"theta": [[0, 2], [-2, 0]], "metrc": [[4, 0], [0, 4]]}',
+            "unknown keys ['metrc']\n",
+        ),
+        (
+            "spectrum",
+            '{"theta": [[0, 2], [-2, 0]], "metric": [[4, 0], [0, 4]], '
+            '"metric": [[1, 0], [0, 1]]}',
+            "key 'metric' appears twice in one object\n",
+        ),
+        (
+            "analyze",
+            '{"name": "x", ' + json.dumps(SHEAR)[1:],
+            "key 'name' appears twice in one object\n",
+        ),
     ],
     ids=[
         "analyze-long-integer", "analyze-long-rational", "analyze-deep",
@@ -155,6 +217,12 @@ DEEP = "[" * 100000 + "]" * 100000  # past the recursion limit
         "semismall-long-negative-integer", "semismall-long-key",
         "spectrum-deep", "spectrum-long-integer",
         "spectrum-theta-past-float", "spectrum-metric-past-float",
+        "semismall-repeated-long-key", "analyze-unknown-long-key",
+        "analyze-scalar-unknown-long-key", "analyze-long-malformed-rational",
+        "analyze-repeated-long-key", "analyze-many-unknown-keys",
+        "semismall-unknown-long-key", "spectrum-repeated-long-key",
+        "spectrum-unknown-long-key", "spectrum-unknown-key",
+        "spectrum-repeated-key", "analyze-repeated-key",
     ],
 )
 def test_hostile_json_is_one_error_line(tmp_path, capsys, command, text, message):
@@ -325,6 +393,10 @@ def test_semismall_missing_stratum(tmp_path, capsys):
         (
             '{"fibers": {"0": 0, "1": 1, "1": 5}}',
             "key '1' appears twice in one object",
+        ),
+        (
+            '{"fibers": {"0": 0, "1": 1}, "fibres": {"1": 5}}',
+            "unknown keys ['fibres']",
         ),
     ],
 )

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,17 @@ def test_inverse_frozen_values():
     x = Cyc.one(3) + w  # 1 + z3 = -z3^2, inverse is -z3
     assert x.inverse() == -w
     assert (x * x.inverse()).rational_value() == 1
+
+
+def test_a_dense_inverse_at_conductor_200_is_fast():
+    # each Euclidean remainder is made monic before it divides; without
+    # that their coefficients blow up and this takes seconds
+    rng = random.Random(200)
+    x = Cyc(200, [rng.randint(-9, 9) for _ in range(euler_phi(200))])
+    start = time.perf_counter()
+    y = x.inverse()
+    assert time.perf_counter() - start < 1.0
+    assert x * y == 1
 
 
 def test_inverse_of_zero_raises():

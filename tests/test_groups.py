@@ -214,6 +214,20 @@ def test_trivial_group():
     assert g.element(0).is_identity()
 
 
+def test_generator_indices_skip_the_identity_and_repeats():
+    a, b = perm_matrix([1, 0, 2]), perm_matrix([0, 2, 1])
+    one = ExactMatrix.identity(3)
+    g = FiniteMatrixGroup.closure(3, 1, None, [one, b, a, b, one, a])
+    # the distinct generators in generator order, as index_of finds them,
+    # without the identity's index 0
+    assert g.generator_indices() == (g.index_of(b), g.index_of(a))
+    for k, x in enumerate(g.generator_indices()):
+        x_inv = g.inverse_index(x)
+        assert g.conjugations()[k] == tuple(
+            g.product_index(g.product_index(x, y), x_inv) for y in range(g.order)
+        )
+
+
 def test_membership_and_indexing():
     g = s3_group()
     three_cycle = perm_matrix([1, 2, 0])

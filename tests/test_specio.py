@@ -140,6 +140,8 @@ def test_parse_error_on_bad_json():
         (lambda d: d.update(dimension=33), "dimension: 33 is over the maximum 32"),
         (lambda d: d.update(conductor=404), "conductor: 404 is over the maximum 400"),
         (lambda d: d.update(extra=1), "unknown"),
+        # keys of two types, as a document built in Python can hold
+        (lambda d: d.update({1: 0, "extra": 1}), "unknown keys [1, 'extra']"),
         (lambda d: d.pop("generators"), "generators"),
         (lambda d: d["generators"].append([[1, 0]]), "generators[2]"),
         (lambda d: d["generators"][0][0].append("0"), "generators[0][0]"),
@@ -172,6 +174,23 @@ def test_validation_errors_carry_a_path(mutate, fragment):
     with pytest.raises(ValidationError) as exc:
         parse_group_spec(doc)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the last value would win: a group of dimension 4, not 2
+        '{"dimension": 2, "dimension": 4}',
+        '{"name": "a", "name": "b", "dimension": 2}',
+        '{"generators": [[[{"coeffs": ["1", "0"], "coeffs": ["0", "1"]}, "0"]]]}',
+    ],
+    ids=["top-level", "name", "scalar-object"],
+)
+def test_a_repeated_key_is_refused_at_any_depth(text):
+    with pytest.raises(ParseError) as exc:
+        parse_group_spec(text)
+    assert str(exc.value).startswith("key '")
+    assert str(exc.value).endswith("' appears twice in one object")
 
 
 def test_validation_of_forms():

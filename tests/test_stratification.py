@@ -424,6 +424,7 @@ def test_parse_fiber_data():
         '{"fibers": {"+1": 1}}',
         '{"fibers": {" 1": 1}}',
         '{"fibers": {"1": 0, "1": 1}}',
+        '{"fibers": {"0": 0}, "fibres": {"1": 1}}',
     ],
 )
 def test_parse_fiber_data_rejects_malformed_documents(doc):
