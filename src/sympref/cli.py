@@ -32,7 +32,6 @@ from .specio import (
     serialize_group_spec,
     spec_from_group,
 )
-from .stratification import build_lattice, parse_fiber_data, semismall_check
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -77,7 +76,17 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK if report.verdict == VERDICT_HOLDS else EXIT_NEGATIVE
 
 
+def build_lattice(group):
+    """The group's stratification; only the commands that build one load
+    `stratification`."""
+    from . import stratification
+
+    return stratification.build_lattice(group)
+
+
 def _cmd_semismall(args) -> int:
+    from .stratification import parse_fiber_data, semismall_check
+
     group = make_group(parse_group_spec(_read_file(args.spec)), args.max_order)
     fibers = parse_fiber_data(_read_file(args.fibers))
     lattice = build_lattice(group)

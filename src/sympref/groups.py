@@ -22,7 +22,12 @@ of infinite order instead of at the order bound.
 
 from __future__ import annotations
 
-from .cyclotomic import BadInput, CyclotomicNumber, _same_conductor
+from .cyclotomic import (
+    BadInput,
+    CyclotomicNumber,
+    InvariantViolation,
+    _same_conductor,
+)
 from .linalg import DimensionMismatch, ExactMatrix, check_form, is_symplectic
 
 DEFAULT_MAX_ORDER = 100_000
@@ -274,6 +279,31 @@ class FiniteMatrixGroup:
         """The last power of i before the identity."""
         return powers(self, i)[-1]
 
+    def fixing(self, vectors, candidates) -> list[int]:
+        """The candidates (element indices) whose elements fix each of the
+        vectors (coordinate tuples).  Row i of y v is Omega's point at
+        y's row i times v, so each point's products with the vectors are
+        made once, in one matrix product per row for the points that
+        row's candidates newly need, and a candidate is dropped at its
+        first wrong row."""
+        n = self.dimension
+        columns = ExactMatrix(
+            len(vectors), n, self.conductor, [x for v in vectors for x in v]
+        ).transpose()
+        images = {}  # per point of Omega, the keys of its products
+        for i in range(n):
+            new = [
+                a for a in dict.fromkeys(self._rows[y][i] for y in candidates)
+                if a not in images
+            ]
+            if new:
+                product = ExactMatrix.stack([self._points[a] for a in new]) * columns
+                for r, a in enumerate(new):
+                    images[a] = tuple(x.key() for x in product.row(r))
+            target = tuple(v[i].key() for v in vectors)
+            candidates = [y for y in candidates if images[self._rows[y][i]] == target]
+        return candidates
+
     def generator_indices(self) -> tuple[int, ...]:
         """Indices of the distinct generators other than the identity, in
         generator order: tables[k] and conjugations()[k] belong to the k-th."""
@@ -346,6 +376,23 @@ def powers(group: FiniteMatrixGroup, element) -> tuple[int, ...]:
         out.append(cur)
         cur = group.product_index(cur, idx)
     return tuple(out)
+
+
+def fixed_dimension(group: FiniteMatrixGroup, cycle) -> int:
+    """dim V^g for the element g whose powers are cycle: the mean of
+    their traces, which is the trace of the projection onto V^g."""
+    total = CyclotomicNumber.sum_of(
+        [group.traces[j] for j in cycle], group.conductor
+    ).rational_value()
+    if total is None or total % len(cycle) or not (
+        0 <= total <= group.dimension * len(cycle)
+    ):
+        raise InvariantViolation(
+            "element %d: the traces of its %d powers sum to %s, not "
+            "%d times a fixed-space dimension"
+            % (cycle[1 % len(cycle)], len(cycle), total, len(cycle))
+        )
+    return int(total) // len(cycle)
 
 
 def element_order(group: FiniteMatrixGroup, element) -> int:

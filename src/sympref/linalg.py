@@ -121,18 +121,21 @@ class ExactMatrix:
         n, k, m = self.rows, self.cols, other.cols
         ae, be = self.entries, other.entries
         zero = CyclotomicNumber.zero(conductor)
+        # each column of other as its nonzero entries, each sum of
+        # products added in one pass
+        columns = [
+            [(t, y) for t, y in enumerate(be[j::m]) if y] for j in range(m)
+        ]
         out = []
         for i in range(n):
             arow = ae[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = zero
-                for t in range(k):
-                    x = arow[t]
-                    if x:
-                        y = be[t * m + j]
-                        if y:
-                            acc = acc + x * y
-                out.append(acc)
+            live = [bool(x) for x in arow]
+            for column in columns:
+                terms = [arow[t] * y for t, y in column if live[t]]
+                out.append(
+                    CyclotomicNumber.sum_of(terms, conductor) if len(terms) > 1
+                    else terms[0] if terms else zero
+                )
         return ExactMatrix(n, m, conductor, out)
 
     def __add__(self, other):
@@ -292,12 +295,17 @@ def _row_reduce(rows: list[list[CyclotomicNumber]]) -> list[int]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        if rows[r][c] != 1:
+            inv = rows[r][c].inverse()
+            rows[r] = [x * inv for x in rows[r]]
+        # the pivot row's nonzero columns are the only ones that change
+        support = [(j, b) for j, b in enumerate(rows[r]) if b]
         for i in range(nrows):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                f, row = rows[i][c], list(rows[i])
+                for j, b in support:
+                    row[j] = row[j] - f * b
+                rows[i] = row
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, InvariantViolation
+from .cyclotomic import InvariantViolation
 from .groups import (
     FiniteMatrixGroup,
     SubgroupHandle,
+    fixed_dimension,
     generated_subgroup,
     is_normal,
     powers,
@@ -51,23 +52,10 @@ class ReflectionCensus(NamedTuple):
 
 def census(group: FiniteMatrixGroup) -> ReflectionCensus:
     """Classify every element by the codimension of its fixed space."""
-    traces = group.traces
-    codims = []
-    for i in range(group.order):
-        cyclic = powers(group, i)
-        total = CyclotomicNumber.sum_of(
-            [traces[j] for j in cyclic], group.conductor
-        ).rational_value()
-        if total is None or total % len(cyclic) or not (
-            0 <= total <= group.dimension * len(cyclic)
-        ):
-            raise InvariantViolation(
-                "element %d: the traces of its %d powers sum to %s, not "
-                "%d times a fixed-space dimension"
-                % (i, len(cyclic), total, len(cyclic))
-            )
-        codims.append(group.dimension - int(total) // len(cyclic))
-    codims = tuple(codims)
+    codims = tuple(
+        group.dimension - fixed_dimension(group, powers(group, i))
+        for i in range(group.order)
+    )
     return ReflectionCensus(
         codims=codims,
         symplectic_reflections=tuple(

@@ -40,7 +40,6 @@ from .reflections import (
     verdict,
     z_locus_min_codim,
 )
-from .stratification import build_lattice
 
 
 # Bounds checked before anything is built: the largest catalog group
@@ -267,6 +266,14 @@ class AnalysisReport(NamedTuple):
     dim2_duval_note: str | None
     z_min_codim: int
     strata: tuple | None  # per-orbit dicts, or None when not requested
+
+
+def build_lattice(group):
+    """The group's stratification; only an analysis with strata loads
+    `stratification`."""
+    from . import stratification
+
+    return stratification.build_lattice(group)
 
 
 def analyze(group: FiniteMatrixGroup, with_strata: bool = False) -> AnalysisReport:

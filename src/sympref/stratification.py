@@ -5,20 +5,32 @@ that is the subspaces V^H for subgroups H.  Each stratum S is held with
 its pointwise stabilizer K_S = {g : S lies in V^g} as a bitmask over
 element indices.  S = V^(K_S), so S lies in T exactly when K_T is a
 subset of K_S, the stabilizer order is a popcount, and g S has
-stabilizer g K_S g^-1: covers, orders and orbits need no subspace.
+stabilizer g K_S g^-1: a mask names its stratum.
 
-Elimination runs only where it can find something new.  The atoms,
-the distinct element fixed spaces, take one `fixed_space` per cyclic
-subgroup, and their masks one stabilizer per conjugation orbit.  Every
-stratum is a meet of atoms (Orlik and Terao, Arrangements of
-Hyperplanes, 1992), and (g S) ^ A = g (S ^ g^-1 A), so orbit
-representatives are met with the atoms only.  A pair is skipped when
-K_S | K_A is a known mask (as it is when the masks are comparable), or
-when a known stratum with a mask above K_S | K_A (which lies in S ^ A)
-has the dimension of S ^ A, dim S + dim A - dim(S + A).  A new meet is
-intersected once and its orbit moved by the generator matrices.  Each
-orbit, of atoms or of meets, is walked once, by the closure routine of
-`groups`, and the lattice reports the orbits it walked.
+The lattice is built by orbit-stabilizer bookkeeping (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, 2005, 4.1), so that
+elimination runs only where it can find something new.  Each orbit of
+strata is walked once, by the closure routine of `groups`, under
+conjugation by the generators; the walk's tables and Schreier words are
+kept, and the lattice reports the orbits it walked.
+
+- Atoms, the element fixed spaces: one `fixed_space` per conjugacy
+  class of cyclic subgroups, as g V^x = V^(g x g^-1).  Its mask is
+  tested on the elements whose fixed space, read off the traces, is no
+  smaller; the other atoms of its orbit are moved by the generator
+  matrices, and found by an element they are the fixed space of.
+- Meets: every stratum is a meet of atoms (Orlik and Terao,
+  Arrangements of Hyperplanes, 1992), and (g S) ^ A = g (S ^ g^-1 A),
+  so only each orbit's first member S is met with the atoms, and only
+  with one atom per orbit of its setwise stabilizer, as S ^ hA = h (S ^ A)
+  for h fixing S.  The stabilizer comes from Schreier generators of
+  S's walk, taken until they generate a group of order |G| / |orbit|.
+  A pair is skipped when K_S | K_A is a known mask, or when a known
+  stratum in S (indexed by dimension) with a mask above K_S | K_A has
+  the dimension of S ^ A: the largest that dimension can be, or else
+  dim S + dim A - dim(S + A).  A new meet is intersected once.
+- Covers: those of each orbit's first member are the largest strata
+  below it; g moves them to those of g S along the walk.
 
 Strata are ordered by ascending codimension, then by canonical
 subspace key, so stratum indices are stable and can be referenced from
@@ -31,9 +43,9 @@ import math
 from typing import NamedTuple
 
 from .cyclotomic import BadInput
-from .groups import FiniteMatrixGroup, _closure, powers
+from .groups import FiniteMatrixGroup, _closure, fixed_dimension, orbits, powers
 from .jsonin import load_json, quote, refuse_unknown_keys
-from .linalg import Subspace, fixed_space
+from .linalg import ExactMatrix, Subspace, fixed_space
 
 
 class FiberDataError(BadInput):
@@ -74,112 +86,225 @@ class StratificationLattice:
 
 def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     """Intersection closure of the element fixed spaces."""
-    # the atoms: the distinct element fixed spaces, one elimination per
-    # cyclic subgroup (x^e fixes what x fixes when e is prime to ord x),
-    # and for each the mask of the elements whose fixed space it is
-    atom_of = [None] * group.order
-    spaces, owners = {}, {}
-    for i in range(group.order):
-        if atom_of[i] is None:
-            s = fixed_space(group.element(i))
-            spaces.setdefault(s.key(), s)
+    order, n, conductor = group.order, group.dimension, group.conductor
+    conjugations = group.conjugations()
+    # the generators, transposed: the rows of B g^T are g applied to the
+    # rows of B
+    transposed = [group.element(i).transpose() for i in group.generator_indices()]
+    moves = range(len(transposed))
+
+    # each element's cyclic subgroup, named by its first generator, and
+    # the dimension of its fixed space, read off the traces (x^e fixes
+    # what x fixes when e is prime to the order of x)
+    cyclic, dims = [None] * order, [None] * order
+    for i in range(order):
+        if cyclic[i] is None:
             cycle = powers(group, i)
+            dim = fixed_dimension(group, cycle)
             for e, x in enumerate(cycle):
                 if math.gcd(e, len(cycle)) == 1:
-                    atom_of[x] = s.key()
-                    owners[s.key()] = owners.get(s.key(), 0) | 1 << x
+                    cyclic[x], dims[x] = i, dim
 
-    def stabilizer(space, known):
-        # known: elements already known to fix the space.  Masks are
-        # unions of owner masks, and owners are disjoint, so the atoms
-        # left to test are those whose owners miss known; an atom of the
-        # space's own dimension contains it only if it is the space
-        return known + sum(
-            own for a, own in owners.items()
-            if not own & known and spaces[a].dim > space.dim
-            and space.is_subspace_of(spaces[a])
-        )
+    def pointwise_stabilizer(space):
+        # the elements fixing the space pointwise: only an element whose
+        # fixed space is no smaller can
+        candidates = [y for y in range(order) if dims[y] >= space.dim]
+        return group.fixing(space.basis, candidates) if space.dim else candidates
 
-    conjugations = group.conjugations()
-    gens = [group.element(i) for i in group.generator_indices()]
-    found, walks = {}, []  # strata by pointwise stabilizer; orbits walked
+    # the strata are numbered walk by walk, in the order each walk met
+    # them; found gives the number of a mask
+    found, masks, spaces = {}, [], []
+    # an element with the stratum as its fixed space, or None (a meet of
+    # atoms that is no atom), and the stratum each element's fixed space is
+    owner, stratum_of = [], [None] * order
+    walks = []  # per orbit of strata: its numbers, tables and words
+    act = [[] for _ in moves]  # act[k][t]: the stratum g_k moves t to
+    back = [[] for _ in moves]  # back[k]: the inverse of act[k]
+    inside = {}  # the elements of K_S, for the strata of the current walk
 
-    def move(m, k):
-        # g S has mask g K_S g^-1.  Its subspace is recorded when first
-        # met: an atom's is looked up, as g V^x is V^(g x g^-1), and a
-        # meet's is moved by the generator's matrix
-        image = _conjugate(m, conjugations[k])
-        if image not in found:
-            s = found[m]
-            if s.key() in owners:
-                x = owners[s.key()].bit_length() - 1  # an element with V^x = s
-                found[image] = spaces[atom_of[conjugations[k][x]]]
-            else:
-                found[image] = Subspace.from_spanning(
-                    group.dimension, [gens[k].apply(v) for v in s.basis],
-                    group.conductor,
-                )
-        return image
+    def record(mask, members, space):
+        t = found[mask] = len(masks)
+        masks.append(mask)
+        spaces.append(space)
+        inside[t] = members
+        # y in K_S has V^y = S when the dimensions agree
+        d = space.dim
+        mine = [y for y in members if dims[y] == d]
+        for y in mine:
+            stratum_of[y] = t
+        owner.append(mine[0] if mine else None)
+        return t
 
-    def walk(mask, space):
-        found[mask] = space
-        walks.append(_closure(mask, range(len(gens)), move, group.order)[0])
+    def move(t, k):
+        # g V^x = V^(g x g^-1); otherwise g S has mask g K_S g^-1, and a
+        # new g S is moved by g's matrix
+        conjugate = conjugations[k]
+        x = owner[t]
+        if x is not None and stratum_of[conjugate[x]] is not None:
+            return stratum_of[conjugate[x]]
+        members = [conjugate[y] for y in inside[t]]
+        mask = _mask(members)
+        if mask in found:
+            return found[mask]
+        basis = spaces[t].basis
+        rows = ExactMatrix(len(basis), n, conductor, [c for v in basis for c in v])
+        return record(mask, members, Subspace.from_spanning(
+            n, (rows * transposed[k]).row_lists(), conductor
+        ))
 
-    # the atoms' masks, one stabilizer per conjugation orbit
-    atom_masks = {}
-    for key in owners:
-        if key not in atom_masks:
-            walk(stabilizer(spaces[key], owners[key]), spaces[key])
-            atom_masks.update((found[m].key(), m) for m in walks[-1])
-    # S = V^(K_S), so a mask names its stratum, and V^(K_S | K_A) is the
-    # meet of S and A
-    atoms = [(atom_masks[key], spaces[key]) for key in owners]
+    def walk(members, space):
+        offset = len(masks)
+        walks.append(_closure(
+            record(_mask(members), members, space), moves, move, order
+        ))
+        inside.clear()
+        for k in moves:
+            act[k].extend(offset + j for j in walks[-1][1][k])
+            back[k].extend([None] * (len(masks) - offset))
+            for t in range(offset, len(masks)):
+                back[k][act[k][t]] = t
+
+    # the atoms, the element fixed spaces: one elimination per class of
+    # cyclic subgroups, as g V^x = V^(g x g^-1)
+    seen = set()
+    for c in range(order):
+        if cyclic[c] == c and c not in seen:
+            seen.update(
+                _closure(c, conjugations, lambda x, p: cyclic[p[x]], order)[0]
+            )
+            space = fixed_space(group.element(c))
+            if stratum_of[c] is None:
+                walk(pointwise_stabilizer(space), space)
+    atoms = len(masks)
+
+    # a stratum is the fixed space V^H of a subgroup; when H preserves a
+    # symplectic form, V^H is symplectic, so its dimension is even
+    step = 1 if group.omega is None else 2
     # every stratum is a meet of atoms, and (g S) ^ A = g (S ^ g^-1 A),
-    # so it is enough to meet each orbit's first member with the atoms;
-    # walks grows while it is scanned
-    for orbit in walks:
-        k = orbit[0]
-        s = found[k]
-        for mask, a in atoms:
-            both = k | mask
+    # so each orbit's first member S is met with the atoms only, and
+    # with one atom per orbit of its setwise stabilizer, as
+    # S ^ hA = h (S ^ A) for h fixing S; walks grows while it is scanned
+    for orbit_walk in walks:
+        first = orbit_walk[0][0]
+        k_s, s = masks[first], spaces[first]
+        below = {}  # the known strata in S, by dimension
+        for t, m in enumerate(masks):
+            if m != k_s and m & k_s == k_s:
+                below.setdefault(spaces[t].dim, []).append(m)
+        stabilizer = _stabilizer_moves(group, orbit_walk, act, back, atoms)
+        for orbit in orbits(atoms, stabilizer):
+            a = spaces[orbit[0]]
+            both = k_s | masks[orbit[0]]
             if both in found:
                 continue
             # a known stratum with a mask above both lies in S ^ A; the
-            # meet is known when the largest of them has its dimension
+            # meet is known when one of them has its dimension.  S and A
+            # are incomparable, so that dimension is at most top, and
+            # only join_dim can tell whether it is less
+            top = min(s.dim, a.dim) - step
+            if any(m & both == both for m in below.get(top, ())):
+                continue
             dim = s.dim + a.dim - s.join_dim(a)
-            if any(m & both == both and t.dim == dim for m, t in found.items()):
+            if dim < top and any(m & both == both for m in below.get(dim, ())):
                 continue
             cap = s.intersect(a)
-            walk(stabilizer(cap, both), cap)
+            walk(pointwise_stabilizer(cap), cap)
+            below.setdefault(dim, []).extend(
+                m for m in masks[walks[-1][0][0]:] if m & k_s == k_s
+            )
 
-    stabs = sorted(found, key=lambda m: (found[m].codim, found[m].key()))
-    # S_j lies strictly below S_i exactly when K_i is a proper subset of K_j
-    below = [
-        {j for j, other in enumerate(stabs) if other != m and other & m == m}
-        for m in stabs
-    ]
-    index = {m: i for i, m in enumerate(stabs)}
+    # S_j lies strictly below S_i exactly when K_i is a proper subset of
+    # K_j.  The covers of each orbit's first member are the largest
+    # strata below it, and g moves them to those of g S
+    covers = [None] * len(masks)
+    for members, _, words in walks:
+        k_s = masks[members[0]]
+        below = sorted(
+            (t for t, m in enumerate(masks) if m != k_s and m & k_s == k_s),
+            key=lambda t: -spaces[t].dim,
+        )
+        tops = []
+        for t in below:
+            if not any(masks[c] & masks[t] == masks[c] for c in tops):
+                tops.append(t)
+        for t, word in zip(members, words):
+            moved = tops
+            for k in word:
+                moved = [act[k][c] for c in moved]
+            covers[t] = moved
+
+    ranked = sorted(
+        range(len(masks)), key=lambda t: (spaces[t].codim, spaces[t].key())
+    )
+    index = [None] * len(masks)
+    for i, t in enumerate(ranked):
+        index[t] = i
     strata = tuple(
         Stratum(
-            subspace=found[m],
-            codim=found[m].codim,
-            stabilizer_order=m.bit_count(),
-            covers=tuple(sorted(b.difference(*(below[j] for j in b)))),
+            subspace=spaces[t],
+            codim=spaces[t].codim,
+            stabilizer_order=masks[t].bit_count(),
+            covers=tuple(sorted(index[c] for c in covers[t])),
         )
-        for m, b in zip(stabs, below)
+        for t in ranked
     )
-    orbits = sorted(tuple(sorted(index[m] for m in walk)) for walk in walks)
-    return StratificationLattice(strata, tuple(orbits))
+    return StratificationLattice(strata, tuple(sorted(
+        tuple(sorted(index[t] for t in members)) for members, _, _ in walks
+    )))
 
 
-def _conjugate(mask, perm):
-    """The mask of the images under perm of the indices set in mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _stabilizer_moves(group, walk, act, back, atoms):
+    """Permutations of the atoms 0..atoms-1 that generate the action of
+    the setwise stabilizer of S, the first stratum of the walk.  They are
+    Schreier generators u_j^-1 g_k u_i, for u_i the element that the walk
+    takes to its i-th stratum, taken until they generate a group of
+    order |G| / |orbit of S|; act[k] and back[k] are the moves of the
+    strata by g_k and by its inverse."""
+    members, tables, words = walk
+    if len(members) == 1:
+        return [a[:atoms] for a in act]
+    gen_index = group.generator_indices()
+    gen_inverse = [group.inverse_index(g) for g in gen_index]
+    target = group.order // len(members)
+    chosen, kept, generated = [], [], {0}
+    edges = ((i, k) for i in range(len(members)) for k in range(len(act)))
+    for i, k in edges:
+        if len(generated) == target:
+            break
+        j = tables[k][i]
+        if words[j] == words[i] + (k,):
+            continue  # an edge of the walk's tree
+        u_i = 0
+        for m in reversed(words[i]):
+            u_i = group.product_index(u_i, gen_index[m])
+        x = 0
+        for m in words[j]:
+            x = group.product_index(x, gen_inverse[m])
+        x = group.product_index(group.product_index(x, gen_index[k]), u_i)
+        if x not in generated:
+            chosen.append((i, k, j))
+            kept.append(x)
+            generated = set(_closure(0, kept, group.product_index, target)[0])
+    perms = []
+    for i, k, j in chosen:
+        perm = []
+        for t in range(atoms):
+            for m in words[i]:
+                t = act[m][t]
+            t = act[k][t]
+            for m in reversed(words[j]):
+                t = back[m][t]
+            perm.append(t)
+        perms.append(perm)
+    return perms
+
+
+def _mask(indices):
+    """The int with the bits at the given positions set."""
+    out = bytearray(max(indices, default=-1) // 8 + 1)
+    for i in indices:
+        out[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(out, "little")
 
 
 def parse_fiber_data(document) -> dict[int, int]:

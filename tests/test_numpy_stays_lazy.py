@@ -3,7 +3,9 @@ alone: importing the package, or running any other command, must not
 load it (it and its BLAS threads cost more than most commands' own
 work).  The catalog, and `dataclasses`, which its entries use, are for
 `catalog` alone: start-up dominates most commands, and `dataclasses`
-brings `inspect`, `ast`, `dis` and `tokenize` with it."""
+brings `inspect`, `ast`, `dis` and `tokenize` with it.  `stratification`
+is for the commands that build a lattice: `analyze --strata` and
+`semismall`."""
 
 import ast
 import json
@@ -109,6 +111,31 @@ def test_only_catalog_loads_the_catalog_and_dataclasses(tmp_path, argv, loads):
     write_inputs(tmp_path)
     found = loaded_modules(RUN_CLI, *argv, cwd=tmp_path) - {"numpy"}
     assert found == ({"dataclasses", "sympref.catalog"} if loads else set())
+
+
+# the same run, reporting whether the lattice module was loaded
+LATTICE = "sympref.stratification"
+RUN_CLI_LATTICE = RUN_CLI.replace(
+    REPORT, "print(' '.join(m for m in %r if m in sys.modules))\n" % ((LATTICE,),)
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["analyze", "s2.json"], False),
+        (["analyze", "--json", "s2.json"], False),
+        (["double", "swap.json"], False),
+        (["spectrum", "theta.json"], False),
+        (["catalog", "emit", "symmetric_n2"], False),
+        (["analyze", "--strata", "s2.json"], True),
+        (["semismall", "s2.json", "fibers.json"], True),
+    ],
+)
+def test_only_the_lattice_commands_load_stratification(tmp_path, argv, loads):
+    write_inputs(tmp_path)
+    assert RUN_CLI_LATTICE != RUN_CLI
+    assert (LATTICE in loaded_modules(RUN_CLI_LATTICE, *argv, cwd=tmp_path)) is loads
 
 
 def _numpy_imports(tree):

@@ -243,13 +243,59 @@ def test_lattice_matches_subspace_recomputation(build):
     assert lat.orbits == orbits
 
 
+def conjugations(group):
+    """Per element g, the permutation x -> g x g^-1 of element indices."""
+    return [
+        [
+            group.product_index(group.product_index(g, x), group.inverse_index(g))
+            for x in range(group.order)
+        ]
+        for g in range(group.order)
+    ]
+
+
+def stratum_moves(group, lattice):
+    """Per element, the permutation of stratum indices it induces,
+    from each stratum's basis moved by the element's matrix."""
+    index = {s.subspace.key(): i for i, s in enumerate(lattice.strata)}
+    return [
+        [
+            index[Subspace.from_spanning(
+                group.dimension,
+                [g.apply(v) for v in s.subspace.basis],
+                group.conductor,
+            ).key()]
+            for s in lattice.strata
+        ]
+        for g in group.elements
+    ]
+
+
+def suborbit_pairs(group, lattice):
+    """The number of pairs (orbit of strata, orbit of the setwise
+    stabilizer of its first member on the atoms), by brute force."""
+    moves = stratum_moves(group, lattice)
+    fixed = {fixed_space(g).key() for g in group.elements}
+    atoms = [
+        i for i, s in enumerate(lattice.strata) if s.subspace.key() in fixed
+    ]
+    pairs = 0
+    for orbit in lattice.orbits:
+        stab = [p for p in moves if p[orbit[0]] == orbit[0]]
+        pairs += len({frozenset(p[a] for p in stab) for a in atoms})
+    return pairs
+
+
 def test_lattice_eliminates_once_per_cyclic_subgroup_and_new_meet_orbit(
     monkeypatch,
 ):
-    # x^e has the fixed space of x when e is prime to the order of x,
-    # and a meet found once gives its whole orbit, so build_lattice
-    # needs one fixed_space per cyclic subgroup and one intersect per
-    # orbit of strata that are no element's fixed space
+    # conjugate cyclic subgroups have conjugate fixed spaces,
+    # V^(g x g^-1) = g V^x, and a meet found once gives its whole orbit,
+    # so build_lattice needs one fixed_space per conjugacy class of
+    # cyclic subgroups and one intersect per orbit of strata that are no
+    # element's fixed space; S ^ hA = h (S ^ A) for h fixing S, so it
+    # tests at most one meet per orbit of S's setwise stabilizer on the
+    # atoms, with at most one join_dim each
     calls = Counter()
 
     def counted(name, fn):
@@ -259,6 +305,7 @@ def test_lattice_eliminates_once_per_cyclic_subgroup_and_new_meet_orbit(
         return wrapper
 
     monkeypatch.setattr(Subspace, "intersect", counted("intersect", Subspace.intersect))
+    monkeypatch.setattr(Subspace, "join_dim", counted("join_dim", Subspace.join_dim))
     monkeypatch.setattr(
         stratification, "fixed_space", counted("fixed_space", fixed_space)
     )
@@ -271,9 +318,14 @@ def test_lattice_eliminates_once_per_cyclic_subgroup_and_new_meet_orbit(
         lat = build_lattice(group)
         counts[name] = (calls["fixed_space"], calls["intersect"])
         cyclic = {frozenset(powers(group, i)) for i in range(group.order)}
+        conj = conjugations(group)
+        classes = {
+            frozenset(frozenset(p[x] for x in c) for p in conj) for c in cyclic
+        }
         fixed = {fixed_space(g).key() for g in group.elements}
         meets = [o for o in lat.orbits if lat.strata[o[0]].subspace.key() not in fixed]
-        expected[name] = (len(cyclic), len(meets))
+        expected[name] = (len(classes), len(meets))
+        assert calls["join_dim"] <= suborbit_pairs(group, lat), name
     assert counts == expected
     assert {n: m for n, (_, m) in expected.items() if m} == {
         "meet_group": 1, "meet_group_squared": 5,
@@ -309,6 +361,94 @@ def test_lattice_digests_are_pinned(build, strata, digest):
     # same relations
     lattice = build_lattice(build())
     assert (len(lattice), lattice_digest(lattice)) == (strata, digest)
+
+
+def characteristic_polynomial(lattice):
+    """Coefficients, lowest degree first, of sum over the strata X of
+    mu(V, X) t^(dim X), with the Moebius function mu of the order
+    (X <= Y when X lies in Y) read off the covers alone."""
+    strata = lattice.strata
+    below = [set() for _ in strata]  # every stratum strictly inside
+    for i in reversed(range(len(strata))):  # by descending codimension
+        for c in strata[i].covers:
+            below[i] |= {c} | below[c]
+    mu = [0] * len(strata)
+    mu[0] = 1  # the whole space, the only stratum of codimension 0
+    for i in range(1, len(strata)):
+        mu[i] = -sum(mu[j] for j in range(i) if i in below[j])
+    n = strata[0].subspace.ambient_dim
+    coeffs = [0] * (n + 1)
+    for s, m in zip(strata, mu):
+        coeffs[n - s.codim] += m
+    return coeffs
+
+
+def doubled_product(coexponents):
+    """Coefficients, lowest degree first, of prod_i (t^2 - b_i)."""
+    out = [1]
+    for b in coexponents:
+        out = [x - b * y for x, y in zip([0, 0] + out, out + [0, 0])]
+    return out
+
+
+COEXPONENTS = [
+    ("S3_on_planes", lambda: build_symmetric_on_squares(3), (0, 1, 2)),
+    ("S4_on_planes", lambda: build_symmetric_on_squares(4), (0, 1, 2, 3)),
+    ("S5_on_planes", lambda: build_symmetric_on_squares(5), (0, 1, 2, 3, 4)),
+    ("A3_doubled", lambda: build_weyl_doubled("A", 3), (1, 2, 3)),
+    ("B3_doubled", lambda: build_weyl_doubled("B", 3), (1, 3, 5)),
+    ("D4_doubled", lambda: build_weyl_doubled("D", 4), (1, 3, 3, 5)),
+    ("F4_doubled", lambda: build_weyl_doubled("F4"), (1, 5, 7, 11)),
+    ("G(4,1,3)_doubled", lambda: build_imprimitive_doubled(4, 1, 3), (1, 5, 9)),
+    ("G(3,3,3)_doubled", lambda: build_imprimitive_doubled(3, 3, 3), (1, 4, 4)),
+    ("G(4,2,2)_doubled", lambda: build_imprimitive_doubled(4, 2, 2), (1, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, coexponents",
+    [pytest.param(build, b, id=name) for name, build, b in COEXPONENTS],
+)
+def test_characteristic_polynomial_factors_over_the_coexponents(build, coexponents):
+    # every fixed space of a complex reflection group is an intersection
+    # of reflecting hyperplanes (Steinberg), so the strata of the doubled
+    # group are the intersection lattice of its reflection arrangement
+    # with every dimension doubled, and the characteristic polynomial of
+    # that lattice is prod_i (t - b_i) over the coexponents b_i (Orlik
+    # and Solomon; Orlik and Terao, Arrangements of Hyperplanes, ch. 6).
+    # The coexponents of G(m,p,n) are 1, m+1, ..., (n-1)m+1 for p < m,
+    # and 1, m+1, ..., (n-2)m+1, (n-1)(m-1) for p = m; S_n on n planes is
+    # the doubled permutation action, with coexponents 0, 1, ..., n-1
+    lattice = build_lattice(build())
+    assert characteristic_polynomial(lattice) == doubled_product(coexponents)
+
+
+def partitions(n):
+    """The number of partitions of n."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts[n]
+
+
+@pytest.mark.parametrize(
+    "family, rank, orbits",
+    [("A", n - 1, partitions(n)) for n in (3, 4, 5)]
+    + [("B", n, sum(partitions(j) for j in range(n + 1))) for n in (2, 3, 4)],
+)
+def test_stratum_orbits_count_the_parabolic_classes(family, rank, orbits):
+    # the orbits of strata are the conjugacy classes of parabolic
+    # subgroups: p(n) of them for A_(n-1), sum_(j <= n) p(j) for B_n
+    lattice = build_lattice(build_weyl_doubled(family, rank))
+    assert len(lattice.orbits) == orbits
+
+
+def test_doubled_b5_lattice_counts():
+    # 19 = sum_(j <= 5) p(j) orbits of strata
+    group = build_weyl_doubled("B", 5)
+    lattice = build_lattice(group)
+    assert (group.order, len(lattice), len(lattice.orbits)) == (3840, 648, 19)
 
 
 def transvection(v, c, omega):
