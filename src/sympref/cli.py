@@ -12,17 +12,13 @@ else.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .cyclotomic import BadInput
 from .groups import DEFAULT_MAX_ORDER, OrderBoundExceeded
 from .jsonin import load_json, refuse_unknown_keys
 from .reflections import VERDICT_HOLDS, double
-from .spectrum import (
-    DEFAULT_INPUT_TOL,
-    DEFAULT_PAIR_TOL,
-    symplectic_eigenvalues,
-)
 from .specio import (
     analyze,
     make_group,
@@ -37,6 +33,11 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_ORDER_BOUND = 2
 EXIT_NEGATIVE = 3
+
+# spectrum.DEFAULT_INPUT_TOL and DEFAULT_PAIR_TOL, kept here so that the
+# other commands need not load `spectrum`
+DEFAULT_INPUT_TOL = 1e-12
+DEFAULT_PAIR_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,6 +148,26 @@ def _cmd_catalog(args) -> int:
     out = serialize_group_spec(spec_from_group(entry.name, group))
     _write_output(out, args.output)
     return EXIT_OK
+
+
+def symplectic_eigenvalues(
+    theta,
+    metric=None,
+    input_tol: float = DEFAULT_INPUT_TOL,
+    pair_tol: float = DEFAULT_PAIR_TOL,
+):
+    """The symplectic eigenvalues of theta; only `spectrum` loads
+    `spectrum`.  A process that has not yet loaded numpy gets OpenBLAS
+    with one thread, unless OPENBLAS_NUM_THREADS says otherwise: one
+    small SVD never uses a thread pool, and starting one costs more than
+    the SVD."""
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import spectrum
+
+    return spectrum.symplectic_eigenvalues(
+        theta, metric, input_tol=input_tol, pair_tol=pair_tol
+    )
 
 
 def _cmd_spectrum(args) -> int:

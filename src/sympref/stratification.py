@@ -14,11 +14,11 @@ strata is walked once, by the closure routine of `groups`, under
 conjugation by the generators; the walk's tables and Schreier words are
 kept, and the lattice reports the orbits it walked.
 
-- Atoms, the element fixed spaces: one `fixed_space` per conjugacy
-  class of cyclic subgroups, as g V^x = V^(g x g^-1).  Its mask is
-  tested on the elements whose fixed space, read off the traces, is no
-  smaller; the other atoms of its orbit are moved by the generator
-  matrices, and found by an element they are the fixed space of.
+- Atoms, the element fixed spaces: one `fixed_space` per orbit of
+  them, as g V^x = V^(g x g^-1).  Its mask is tested on the elements
+  whose fixed space, read off the traces, is no smaller; the other
+  atoms of its orbit are moved by the generator matrices, and found by
+  an element they are the fixed space of.
 - Meets: every stratum is a meet of atoms (Orlik and Terao,
   Arrangements of Hyperplanes, 1992), and (g S) ^ A = g (S ^ g^-1 A),
   so only each orbit's first member S is met with the atoms, and only
@@ -93,17 +93,17 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     transposed = [group.element(i).transpose() for i in group.generator_indices()]
     moves = range(len(transposed))
 
-    # each element's cyclic subgroup, named by its first generator, and
-    # the dimension of its fixed space, read off the traces (x^e fixes
-    # what x fixes when e is prime to the order of x)
-    cyclic, dims = [None] * order, [None] * order
+    # the dimension of each element's fixed space, read off the traces
+    # once per cyclic subgroup (x^e fixes what x fixes when e is prime
+    # to the order of x)
+    dims = [None] * order
     for i in range(order):
-        if cyclic[i] is None:
+        if dims[i] is None:
             cycle = powers(group, i)
             dim = fixed_dimension(group, cycle)
             for e, x in enumerate(cycle):
                 if math.gcd(e, len(cycle)) == 1:
-                    cyclic[x], dims[x] = i, dim
+                    dims[x] = dim
 
     def pointwise_stabilizer(space):
         # the elements fixing the space pointwise: only an element whose
@@ -164,17 +164,13 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
             for t in range(offset, len(masks)):
                 back[k][act[k][t]] = t
 
-    # the atoms, the element fixed spaces: one elimination per class of
-    # cyclic subgroups, as g V^x = V^(g x g^-1)
-    seen = set()
+    # the atoms, the element fixed spaces: one elimination per orbit, as
+    # a walk meets g V^x = V^(g x g^-1) for every g and sets stratum_of
+    # for every element with that fixed space
     for c in range(order):
-        if cyclic[c] == c and c not in seen:
-            seen.update(
-                _closure(c, conjugations, lambda x, p: cyclic[p[x]], order)[0]
-            )
+        if stratum_of[c] is None:
             space = fixed_space(group.element(c))
-            if stratum_of[c] is None:
-                walk(pointwise_stabilizer(space), space)
+            walk(pointwise_stabilizer(space), space)
     atoms = len(masks)
 
     # a stratum is the fixed space V^H of a subgroup; when H preserves a

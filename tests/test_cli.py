@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -495,20 +496,80 @@ def test_catalog_emit_unknown_name(capsys):
     assert "error" in capsys.readouterr().err
 
 
+BLOCK_THETA = {"theta": [[0, 2], [-2, 0]]}
+METRIC_THETA = {"theta": [[0, 1], [-1, 0]], "metric": [[4, 0], [0, 4]]}
+_a = np.random.default_rng(53).standard_normal((8, 8))
+RANDOM_THETA = {"theta": (_a - _a.T).tolist()}
+
+
 def test_spectrum_block_form(tmp_path, capsys):
-    path = write_json(tmp_path, "theta.json", {"theta": [[0, 2], [-2, 0]]})
+    path = write_json(tmp_path, "theta.json", BLOCK_THETA)
     assert main(["spectrum", path]) == 0
     assert capsys.readouterr().out == "2\n"
 
 
 def test_spectrum_with_metric(tmp_path, capsys):
-    payload = {
-        "theta": [[0, 1], [-1, 0]],
-        "metric": [[4, 0], [0, 4]],
-    }
-    path = write_json(tmp_path, "theta.json", payload)
+    path = write_json(tmp_path, "theta.json", METRIC_THETA)
     assert main(["spectrum", path]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(0.25)
+
+
+def blas_env(threads):
+    """This environment with OPENBLAS_NUM_THREADS unset (threads None)
+    or set to threads."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def run_spectrum(path, threads):
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympref.cli", "spectrum", path],
+        capture_output=True, env=blas_env(threads),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "payload", [BLOCK_THETA, METRIC_THETA, RANDOM_THETA],
+    ids=["block", "metric", "random"],
+)
+def test_spectrum_output_does_not_depend_on_the_blas_threads(tmp_path, payload):
+    # the command runs OpenBLAS single-threaded unless told otherwise
+    path = write_json(tmp_path, "theta.json", payload)
+    assert run_spectrum(path, None) == run_spectrum(path, "2")
+
+
+@pytest.mark.parametrize("threads, seen", [(None, "1"), ("2", "2")])
+def test_spectrum_sets_the_blas_threads_only_when_unset(tmp_path, threads, seen):
+    # a fresh process, so that numpy is not yet loaded when main runs
+    path = write_json(tmp_path, "theta.json", BLOCK_THETA)
+    code = (
+        "import os, sys\n"
+        "from sympref.cli import main\n"
+        "assert 'numpy' not in sys.modules\n"
+        "code = main(['spectrum', sys.argv[1]])\n"
+        "print(code, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, path],
+        capture_output=True, text=True, env=blas_env(threads),
+    )
+    assert proc.stdout.splitlines() == ["2", "0 %s" % seen], proc.stderr
+
+
+def test_spectrum_leaves_the_environment_alone_once_numpy_is_loaded(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    path = write_json(tmp_path, "theta.json", BLOCK_THETA)
+    assert "numpy" in sys.modules
+    before = dict(os.environ)
+    assert main(["spectrum", path]) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert dict(os.environ) == before
 
 
 @pytest.mark.parametrize(
@@ -595,10 +656,7 @@ def test_spectrum_rejects_a_tolerance_out_of_range(tmp_path, capsys, option, val
 
 
 def test_spectrum_zero_pair_tolerance(tmp_path, capsys):
-    rng = np.random.default_rng(53)
-    a = rng.standard_normal((8, 8))
-    theta = a - a.T
-    path = write_json(tmp_path, "theta.json", {"theta": theta.tolist()})
+    path = write_json(tmp_path, "theta.json", RANDOM_THETA)
     assert main(["spectrum", path, "--pair-tol", "0"]) == 1
     assert "error" in capsys.readouterr().err
     assert main(["spectrum", path]) == 0

@@ -5,9 +5,11 @@ work).  The catalog, and `dataclasses`, which its entries use, are for
 `catalog` alone: start-up dominates most commands, and `dataclasses`
 brings `inspect`, `ast`, `dis` and `tokenize` with it.  `stratification`
 is for the commands that build a lattice: `analyze --strata` and
-`semismall`."""
+`semismall`.  `spectrum` itself is for `spectrum` alone, so the other
+commands do not compile it."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -24,7 +26,14 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "sympref").glob(
 
 # the modules whose loading the tests watch
 WATCHED = ("numpy", "dataclasses", "sympref.catalog")
-REPORT = "print(' '.join(m for m in %r if m in sys.modules))\n" % (WATCHED,)
+
+
+def report(modules):
+    """Code that prints which of modules are loaded."""
+    return "print(' '.join(m for m in %r if m in sys.modules))\n" % (tuple(modules),)
+
+
+REPORT = report(WATCHED)
 
 # runs the command line as `python -m sympref.cli` does, with its exit
 # code, and reports which watched modules were loaded
@@ -113,11 +122,14 @@ def test_only_catalog_loads_the_catalog_and_dataclasses(tmp_path, argv, loads):
     assert found == ({"dataclasses", "sympref.catalog"} if loads else set())
 
 
-# the same run, reporting whether the lattice module was loaded
+def reporting(module):
+    """The command line run of RUN_CLI, reporting whether module was
+    loaded."""
+    return RUN_CLI.replace(REPORT, report((module,)))
+
+
 LATTICE = "sympref.stratification"
-RUN_CLI_LATTICE = RUN_CLI.replace(
-    REPORT, "print(' '.join(m for m in %r if m in sys.modules))\n" % ((LATTICE,),)
-)
+RUN_CLI_LATTICE = reporting(LATTICE)
 
 
 @pytest.mark.parametrize(
@@ -136,6 +148,49 @@ def test_only_the_lattice_commands_load_stratification(tmp_path, argv, loads):
     write_inputs(tmp_path)
     assert RUN_CLI_LATTICE != RUN_CLI
     assert (LATTICE in loaded_modules(RUN_CLI_LATTICE, *argv, cwd=tmp_path)) is loads
+
+
+SPECTRUM = "sympref.spectrum"
+RUN_CLI_SPECTRUM = reporting(SPECTRUM)
+
+
+def test_import_does_not_load_spectrum(tmp_path):
+    code = "import sys, sympref.cli\n" + report((SPECTRUM,))
+    assert loaded_modules(code, cwd=tmp_path) == set()
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["analyze", "s2.json"], False),
+        (["analyze", "--strata", "s2.json"], False),
+        (["semismall", "s2.json", "fibers.json"], False),
+        (["double", "swap.json"], False),
+        (["catalog", "emit", "symmetric_n2"], False),
+        (["spectrum", "theta.json"], True),
+    ],
+)
+def test_only_spectrum_loads_spectrum(tmp_path, argv, loads):
+    write_inputs(tmp_path)
+    assert (SPECTRUM in loaded_modules(RUN_CLI_SPECTRUM, *argv, cwd=tmp_path)) is loads
+
+
+def test_cli_tolerance_defaults_are_the_library_defaults():
+    # the command line keeps its own copy, so as not to load `spectrum`
+    from sympref import cli, spectrum
+
+    args = cli.build_parser().parse_args(["spectrum", "theta.json"])
+    assert (args.input_tol, args.pair_tol) == (
+        spectrum.DEFAULT_INPUT_TOL, spectrum.DEFAULT_PAIR_TOL,
+    )
+    assert (cli.DEFAULT_INPUT_TOL, cli.DEFAULT_PAIR_TOL) == (
+        spectrum.DEFAULT_INPUT_TOL, spectrum.DEFAULT_PAIR_TOL,
+    )
+    wrapper = inspect.signature(cli.symplectic_eigenvalues).parameters
+    library = inspect.signature(spectrum.symplectic_eigenvalues).parameters
+    assert [(p.name, p.default) for p in wrapper.values()] == [
+        (p.name, p.default) for p in library.values()
+    ]
 
 
 def _numpy_imports(tree):

@@ -18,7 +18,7 @@ from sympref.catalog import (
     get_entry,
 )
 from sympref.cyclotomic import CyclotomicNumber
-from sympref.groups import FiniteMatrixGroup, powers
+from sympref.groups import FiniteMatrixGroup
 from sympref.linalg import (
     ExactMatrix,
     Subspace,
@@ -289,11 +289,11 @@ def suborbit_pairs(group, lattice):
 def test_lattice_eliminates_once_per_cyclic_subgroup_and_new_meet_orbit(
     monkeypatch,
 ):
-    # conjugate cyclic subgroups have conjugate fixed spaces,
-    # V^(g x g^-1) = g V^x, and a meet found once gives its whole orbit,
-    # so build_lattice needs one fixed_space per conjugacy class of
-    # cyclic subgroups and one intersect per orbit of strata that are no
-    # element's fixed space; S ^ hA = h (S ^ A) for h fixing S, so it
+    # conjugate elements have conjugate fixed spaces,
+    # V^(g x g^-1) = g V^x, and a stratum found once gives its whole
+    # orbit, so build_lattice needs one fixed_space per orbit of distinct
+    # element fixed spaces and one intersect per orbit of strata that are
+    # no element's fixed space; S ^ hA = h (S ^ A) for h fixing S, so it
     # tests at most one meet per orbit of S's setwise stabilizer on the
     # atoms, with at most one join_dim each
     calls = Counter()
@@ -317,14 +317,13 @@ def test_lattice_eliminates_once_per_cyclic_subgroup_and_new_meet_orbit(
         calls.clear()
         lat = build_lattice(group)
         counts[name] = (calls["fixed_space"], calls["intersect"])
-        cyclic = {frozenset(powers(group, i)) for i in range(group.order)}
+        keys = [fixed_space(g).key() for g in group.elements]
         conj = conjugations(group)
-        classes = {
-            frozenset(frozenset(p[x] for x in c) for p in conj) for c in cyclic
-        }
-        fixed = {fixed_space(g).key() for g in group.elements}
+        # the orbit of V^x is the set of V^(g x g^-1) over all g
+        atom_orbits = {frozenset(keys[p[x]] for p in conj) for x in range(group.order)}
+        fixed = set(keys)
         meets = [o for o in lat.orbits if lat.strata[o[0]].subspace.key() not in fixed]
-        expected[name] = (len(classes), len(meets))
+        expected[name] = (len(atom_orbits), len(meets))
         assert calls["join_dim"] <= suborbit_pairs(group, lat), name
     assert counts == expected
     assert {n: m for n, (_, m) in expected.items() if m} == {
