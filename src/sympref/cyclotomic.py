@@ -16,7 +16,10 @@ coefficients, each converted exactly (a float such as 0.5 becomes 1/2).
 Arithmetic results skip those checks and are built by `_number`, because
 they hold by construction: every operation returns phi(m) coefficients
 already in the int-or-Fraction form.  Every true division goes through
-`Fraction`, as `int / int` would be a float.
+`Fraction`, as `int / int` would be a float.  Products have one kernel,
+`_mul_add`, which adds a * b into unreduced coefficients: a scalar
+product is its one-term case, and a matrix product reduces each entry
+once, after its last term.
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-_ZERO = Fraction(0)
-
 
 class BadInput(ValueError):
     """Input the operation cannot take; the CLI reports it as one error
@@ -166,6 +166,16 @@ def _reduce(coeffs, m: int) -> tuple:
     return _canon(cs[:phi])
 
 
+def _mul_add(acc: list, a, b) -> None:
+    """acc += a * b, unreduced, for coefficient sequences a and b and
+    len(acc) >= len(a) + len(b) - 1: the package's one coefficient product."""
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                if y:
+                    acc[k] += x * y
+
+
 def _poly_divmod(num, den):
     """Quotient and remainder of num by the monic polynomial den."""
     num = list(num)
@@ -186,15 +196,13 @@ def _poly_divmod(num, den):
 
 
 @lru_cache(maxsize=None)
-def _normalized_trace_table(m: int) -> tuple[Fraction, ...]:
-    # Tr(zeta_m^k) / phi(m) for each power-basis exponent; the
-    # normalization makes the value invariant under promotion.
-    phi = euler_phi(m)
-    table = []
-    for k in range(phi):
-        g = math.gcd(k, m)
-        table.append(Fraction(mobius(m // g), euler_phi(m // g)))
-    return tuple(table)
+def _normalized_trace_table(m: int) -> tuple:
+    # Tr(zeta_m^k) / phi(m) per power-basis exponent, as an int or a
+    # Fraction; the normalization makes the value invariant under promotion
+    return tuple(
+        _quotient(mobius(m // g), euler_phi(m // g))
+        for g in (math.gcd(k, m) for k in range(euler_phi(m)))
+    )
 
 
 def _same_conductor(a: int, b: int) -> int:
@@ -307,13 +315,8 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        acc = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        acc[i + j] += ai * bj
+        acc = [0] * (2 * len(self.coeffs) - 1)
+        _mul_add(acc, self.coeffs, other.coeffs)
         return _number(self.conductor, _reduce(acc, self.conductor))
 
     __rmul__ = __mul__
@@ -340,11 +343,7 @@ class CyclotomicNumber:
             r0, r1 = r1, r
             # t0 - q*t1
             new_t = list(t0) + [0] * max(len(q) + len(t1) - 1 - len(t0), 0)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, tj in enumerate(t1):
-                        if tj:
-                            new_t[i + j] -= qi * tj
+            _mul_add(new_t, [-c for c in q], t1)
             t0, t1 = t1, new_t
 
     def __truediv__(self, other):
@@ -390,14 +389,14 @@ class CyclotomicNumber:
         acc = _substitute(self.coeffs, conductor // m, conductor)
         return _number(conductor, _reduce(acc, conductor))
 
-    def normalized_trace(self) -> Fraction:
-        """Field trace to Q divided by the field degree.
+    def normalized_trace(self):
+        """Field trace to Q over the field degree, as an int or a Fraction.
 
         Invariant under promotion, which makes it usable for hashing
         values that may live at different conductors.
         """
         table = _normalized_trace_table(self.conductor)
-        total = _ZERO
+        total = 0
         for c, t in zip(self.coeffs, table):
             if c and t:
                 total += c * t

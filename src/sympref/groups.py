@@ -128,6 +128,22 @@ def _checked_trace(t: CyclotomicNumber, n: int, bound: int) -> CyclotomicNumber:
     )
 
 
+def _form_error(dimension, conductor, omega, generators):
+    """What the checks of omega and of the generators against it raise,
+    or None when omega is a nondegenerate form every generator keeps."""
+    try:
+        if omega.rows != dimension:
+            raise DimensionMismatch("form has wrong dimension")
+        _same_conductor(omega.conductor, conductor)
+        check_form(omega)
+        for i, g in enumerate(generators):
+            if not is_symplectic(g, omega):
+                raise NotSymplectic(i)
+    except BadInput as error:
+        return error
+    return None
+
+
 class FiniteMatrixGroup:
     """A finite group of exact matrices, fully enumerated.
 
@@ -170,6 +186,10 @@ class FiniteMatrixGroup:
         max_order: int = DEFAULT_MAX_ORDER,
     ) -> "FiniteMatrixGroup":
         gens = list(generators)
+        # g^T omega g = omega with omega nondegenerate gives det g = +-1,
+        # so generators are ranked only without a form or when its checks
+        # fail, and a singular generator is then reported before them
+        error = omega is not None and _form_error(dimension, conductor, omega, gens)
         for i, g in enumerate(gens):
             if g.rows != dimension or g.cols != dimension:
                 raise DimensionMismatch(
@@ -177,16 +197,10 @@ class FiniteMatrixGroup:
                     % (i, g.rows, g.cols, dimension, dimension)
                 )
             _same_conductor(g.conductor, conductor)
-            if g.rank() < dimension:
+            if (omega is None or error) and g.rank() < dimension:
                 raise SingularGenerator(i)
-        if omega is not None:
-            if omega.rows != dimension:
-                raise DimensionMismatch("form has wrong dimension")
-            _same_conductor(omega.conductor, conductor)
-            check_form(omega)
-            for i, g in enumerate(gens):
-                if not is_symplectic(g, omega):
-                    raise NotSymplectic(i)
+        if error:
+            raise error
 
         n = dimension
         identity = ExactMatrix.identity(n, conductor)

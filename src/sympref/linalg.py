@@ -13,15 +13,20 @@ choice makes every reduced echelon form (and hence every Subspace)
 canonical: two subspaces are equal iff their stored bases are identical.
 
 Derived operations reuse the core ones.  Every product, `apply` and
-meets included, goes through the one matrix product, and a meet comes
-from the same residuals against an echelon basis as `join_dim`.
+meets included, goes through the one matrix product.  It walks the
+right factor's nonzero entries, kept with the matrix as its key is, adds
+each entry's products with the scalar kernel `_mul_add` and reduces the
+entry once.  A meet comes from the same residuals against an echelon
+basis as `join_dim`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cyclotomic import BadInput, CyclotomicNumber, _same_conductor
+from .cyclotomic import (
+    BadInput, CyclotomicNumber, _mul_add, _number, _reduce, _same_conductor,
+)
 
 
 class DimensionMismatch(BadInput):
@@ -46,7 +51,7 @@ def _coerce_entry(value, conductor):
 class ExactMatrix:
     """Immutable matrix over Q(zeta_m), stored row-major."""
 
-    __slots__ = ("rows", "cols", "conductor", "entries", "_key")
+    __slots__ = ("rows", "cols", "conductor", "entries", "_key", "_sparse")
 
     def __init__(self, rows, cols, conductor, entries):
         self.rows = rows
@@ -58,6 +63,7 @@ class ExactMatrix:
                 "expected %d entries, got %d" % (rows * cols, len(self.entries))
             )
         self._key = None
+        self._sparse = None
 
     @classmethod
     def from_rows(cls, row_lists, conductor: int = 1) -> "ExactMatrix":
@@ -118,25 +124,26 @@ class ExactMatrix:
                 % (self.rows, self.cols, other.rows, other.cols)
             )
         conductor = _same_conductor(self.conductor, other.conductor)
-        n, k, m = self.rows, self.cols, other.cols
-        ae, be = self.entries, other.entries
+        k, m = self.cols, other.cols
+        if other._sparse is None:  # its rows' nonzero entries, kept
+            other._sparse = tuple(
+                tuple((j, y.coeffs) for j, y in enumerate(other.row(t)) if y)
+                for t in range(k)
+            )
         zero = CyclotomicNumber.zero(conductor)
-        # each column of other as its nonzero entries, each sum of
-        # products added in one pass
-        columns = [
-            [(t, y) for t, y in enumerate(be[j::m]) if y] for j in range(m)
-        ]
+        width = 2 * len(zero.coeffs) - 1
         out = []
-        for i in range(n):
-            arow = ae[i * k : (i + 1) * k]
-            live = [bool(x) for x in arow]
-            for column in columns:
-                terms = [arow[t] * y for t, y in column if live[t]]
-                out.append(
-                    CyclotomicNumber.sum_of(terms, conductor) if len(terms) > 1
-                    else terms[0] if terms else zero
-                )
-        return ExactMatrix(n, m, conductor, out)
+        for i in range(self.rows):
+            sums = {}  # per column, the entry's products added unreduced
+            for x, row in zip(self.row(i), other._sparse):
+                if row and x:
+                    for j, y in row:
+                        _mul_add(sums.setdefault(j, [0] * width), x.coeffs, y)
+            out += [
+                _number(conductor, _reduce(sums[j], conductor)) if j in sums
+                else zero for j in range(m)
+            ]
+        return ExactMatrix(self.rows, m, conductor, out)
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclotomic import BadInput, CyclotomicNumber, euler_phi
+from .cyclotomic import BadInput, CyclotomicNumber, _exact, euler_phi
 from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteMatrixGroup,
@@ -81,18 +80,19 @@ def _fail(path, message):
     raise ValidationError("%s: %s" % (path, message))
 
 
-def _parse_rational(value, path) -> Fraction:
+def _parse_rational(value, path):
+    """A JSON scalar as an int when integral, else as a Fraction."""
     if isinstance(value, bool):
         _fail(path, "booleans are not scalars")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, float):
         _fail(path, "floats are not exact; use a rational string")
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             _fail(path, "malformed rational %s" % quote(value))
         try:
-            return Fraction(value)
+            return _exact(value)
         except ValueError:  # over Python's limit on integer digits
             _fail(path, "rational of %d characters is too long" % len(value))
     _fail(path, "expected a rational, got %s" % type(value).__name__)

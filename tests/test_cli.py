@@ -282,6 +282,35 @@ def test_analyze_infinite_group_is_one_error_line(tmp_path, capsys):
     )
 
 
+GENERATOR_ERRORS = {
+    # a form proves a generator invertible only when every generator
+    # preserves it; otherwise the ranks decide, in generator order
+    "singular-after-non-symplectic": (
+        "analyze", "standard", [[[2, 0], [0, 1]], [[1, 0], [0, 0]]],
+        "error: generator 1 is singular\n",
+    ),
+    "non-symplectic": (
+        "analyze", "standard", [[[0, 1], [-1, 0]], [[2, 0], [0, 1]]],
+        "error: generator 1 does not preserve the symplectic form\n",
+    ),
+    "singular-without-a-form": (
+        "double", None, [[[0, 1], [1, 0]], [[1, 0], [0, 0]]],
+        "error: generator 1 is singular\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GENERATOR_ERRORS.values(), ids=GENERATOR_ERRORS)
+def test_generator_errors_are_one_unchanged_line(tmp_path, capsys, case):
+    command, form, generators, line = case
+    spec = write_json(tmp_path, "spec.json", {
+        "name": "x", "dimension": 2, "symplectic_form": form,
+        "generators": generators,
+    })
+    assert main([command, spec]) == 1
+    assert capsys.readouterr() == ("", line)
+
+
 @pytest.mark.parametrize("digits", [300, 2200])
 def test_infinite_group_with_a_huge_trace_is_one_short_error_line(tmp_path, digits):
     # diag(a, 1/a) has trace a + 1/a; at 2200 digits its numerator is over

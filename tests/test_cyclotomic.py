@@ -12,11 +12,13 @@ from sympref.cyclotomic import (
     CyclotomicNumber,
     DivisionByZero,
     NotASubfield,
+    _normalized_trace_table,
     _reduce,
     cyclotomic_polynomial,
     euler_phi,
     mobius,
 )
+from sympref.linalg import ExactMatrix
 from sympref.specio import MAX_CONDUCTOR
 
 Cyc = CyclotomicNumber
@@ -405,3 +407,96 @@ def test_kernel_results_are_exact_and_match_a_fraction_reference(
     )
     _assert_matches(Cyc.zero(m), m, [Fraction(0)] * phi)
     _assert_matches(Cyc.one(m), m, one)
+
+
+def _ref_trace(coeffs, m):
+    """Tr(x) / phi(m) as the trace of multiplication by x on the power
+    basis, in Fractions."""
+    phi = euler_phi(m)
+    basis = [[Fraction(int(i == j)) for i in range(phi)] for j in range(phi)]
+    return sum(_ref_mul(coeffs, e, m)[j] for j, e in enumerate(basis)) / phi
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_inputs())
+def test_normalized_trace_matches_a_fraction_reference(inputs):
+    m, x, _ = inputs
+    value = x.normalized_trace()
+    assert value == _ref_trace([Fraction(c) for c in x.coeffs], m)
+    assert type(value) in (int, Fraction)
+    if m == 1 and type(x.coeffs[0]) is int:
+        assert type(value) is int
+
+
+def test_normalized_trace_is_an_int_for_integral_values_at_conductors_1_and_2():
+    for m in (1, 2):
+        assert _normalized_trace_table(m) == (1,)
+        assert type(_normalized_trace_table(m)[0]) is int
+        value = Cyc(m, [-7]).normalized_trace()
+        assert value == -7 and type(value) is int
+    assert Cyc(1, [Fraction(1, 3)]).normalized_trace() == Fraction(1, 3)
+    # zeta_3 has trace -1 over a degree 2 field
+    assert _normalized_trace_table(3) == (1, Fraction(-1, 2))
+
+
+# -- matrix products against the same reference -----------------------------
+
+
+@st.composite
+def _matrix_pair(draw):
+    """A product a * b at a kernel conductor: shapes 1 x n, n x 1 and
+    n x n on either side, zeros common, and maybe a zero row of a and a
+    zero column of b."""
+    m = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    phi = euler_phi(m)
+    n = draw(st.integers(1, 4))
+    rows, inner, cols = (draw(st.sampled_from((1, n))) for _ in range(3))
+    entry = st.one_of(
+        st.just([0] * phi), st.lists(_SCALARS, min_size=phi, max_size=phi)
+    )
+
+    def matrix(r, c, zero_row, zero_col):
+        return ExactMatrix(r, c, m, [
+            Cyc(m, [0] * phi if i == zero_row or j == zero_col else draw(entry))
+            for i in range(r) for j in range(c)
+        ])
+
+    zero = st.one_of(st.none(), st.integers(0, n - 1))
+    a = matrix(rows, inner, draw(zero), None)
+    b = matrix(inner, cols, None, draw(zero))
+    return m, a, b
+
+
+def _ref_product(a, b, m):
+    """Each entry of a * b as its sum of products, in Fractions."""
+    phi = euler_phi(m)
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            total = [Fraction(0)] * phi
+            for t in range(a.cols):
+                x = [Fraction(c) for c in a.entry(i, t).coeffs]
+                term = _ref_mul(x, b.entry(t, j).coeffs, m)
+                total = [s + c for s, c in zip(total, term)]
+            out.append(total)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix_pair())
+def test_matrix_products_match_a_fraction_reference(pair):
+    m, a, b = pair
+    copy = ExactMatrix(b.rows, b.cols, m, b.entries)
+    cold = (hash(b), b.key())
+    product = a * b
+    assert (product.rows, product.cols, product.conductor) == (a.rows, b.cols, m)
+    for entry, ref in zip(product.entries, _ref_product(a, b, m)):
+        _assert_matches(entry, m, ref)
+    # a second product reads b's cached sparse rows
+    assert b._sparse is not None
+    again = a * b
+    assert again == product and again.key() == product.key()
+    assert [e.coeffs for e in again.entries] == [e.coeffs for e in product.entries]
+    # the cache changes neither equality, hashing nor keys
+    assert b == copy and copy == b
+    assert (hash(b), b.key()) == cold == (hash(copy), copy.key())

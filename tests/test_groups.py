@@ -26,7 +26,12 @@ from sympref.groups import (
     orbits,
     powers,
 )
-from sympref.linalg import BadForm, ExactMatrix, standard_symplectic_form
+from sympref.linalg import (
+    BadForm,
+    ExactMatrix,
+    pairing_form,
+    standard_symplectic_form,
+)
 from sympref.specio import make_group, spec_from_group
 
 Cyc = CyclotomicNumber
@@ -199,6 +204,73 @@ def test_non_symplectic_generator_rejected():
             2, 1, omega, [ExactMatrix.from_rows([[2, 0], [0, 1]])]
         )
     assert exc.value.index == 0
+
+
+def _closure_ranks(monkeypatch, omega, generators):
+    """The matrices closure ranks, in call order."""
+    ranked = []
+    rank = ExactMatrix.rank
+
+    def counted(self):
+        ranked.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(ExactMatrix, "rank", counted)
+    FiniteMatrixGroup.closure(4, 1, omega, generators, max_order=1000)
+    return ranked
+
+
+def test_generators_a_form_proves_invertible_are_not_ranked(monkeypatch):
+    gens = build_weyl_doubled("A", 2).generators
+    omega = pairing_form(2)
+    # with a form: only check_form's rank of the form itself
+    ranked = _closure_ranks(monkeypatch, omega, gens)
+    assert len(ranked) == 1 and ranked[0] is omega
+    # without one: each generator once
+    ranked = _closure_ranks(monkeypatch, None, gens)
+    assert [id(g) for g in ranked] == [id(g) for g in gens]
+
+
+PRECEDENCE = {
+    # a non-symplectic invertible generator 0, a singular generator 1
+    "singular-after-non-symplectic": (
+        "standard", [[[2, 0], [0, 1]], [[1, 0], [0, 0]]],
+        SingularGenerator, "generator 1 is singular",
+    ),
+    "singular-with-a-bad-form": (
+        ExactMatrix.identity(2), [[[0, 1], [-1, 0]], [[1, 0], [0, 0]]],
+        SingularGenerator, "generator 1 is singular",
+    ),
+    "singular-before-a-wrong-shape": (
+        "standard", [[[0, 0], [0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+        SingularGenerator, "generator 0 is singular",
+    ),
+    "non-symplectic-after-symplectic": (
+        "standard", [[[0, 1], [-1, 0]], [[2, 0], [0, 1]]],
+        NotSymplectic,
+        "generator 1 does not preserve the symplectic form",
+    ),
+    "bad-form": (
+        ExactMatrix.identity(2), [[[0, 1], [-1, 0]]],
+        BadForm, "form matrix is not antisymmetric",
+    ),
+    "singular-without-a-form": (
+        None, [[[0, 1], [1, 0]], [[1, 0], [0, 0]]],
+        SingularGenerator, "generator 1 is singular",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PRECEDENCE.values(), ids=PRECEDENCE)
+def test_generator_errors_keep_their_precedence(case):
+    form, rows, error, message = case
+    omega = standard_symplectic_form(2) if form == "standard" else form
+    gens = [ExactMatrix.from_rows(r) for r in rows]
+    with pytest.raises(error) as exc:
+        FiniteMatrixGroup.closure(2, 1, omega, gens)
+    assert type(exc.value) is error and str(exc.value) == message
+    if error is not BadForm:
+        assert exc.value.index == int(message.split()[1])
 
 
 def test_bad_form_rejected():

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from sympref.specio import (
     AnalysisReport,
     ParseError,
     ValidationError,
+    _parse_rational,
     analyze,
     make_group,
     parse_group_spec,
@@ -74,6 +76,22 @@ def test_parse_scalars_in_all_forms():
     assert g.entry(0, 1).rational_value() == pytest.approx(0.5)
     assert g.entry(1, 0) == -3
     assert g.entry(1, 1) == Cyc.zeta(4)
+
+
+@pytest.mark.parametrize(
+    "value, parsed",
+    [(3, 3), (-12, -12), ("7", 7), ("-6/2", -3), ("+0/5", 0),
+     ("1/2", Fraction(1, 2)), ("-4/6", Fraction(-2, 3))],
+)
+def test_integral_scalars_parse_to_ints(value, parsed):
+    result = _parse_rational(value, "x")
+    assert result == parsed
+    assert type(result) is (int if type(parsed) is int else Fraction)
+    entry = parse_group_spec({
+        "name": "s", "dimension": 2, "symplectic_form": None,
+        "generators": [[[value, 0], [0, 1]]],
+    }).generators[0].entry(0, 0)
+    assert entry.coeffs == (parsed,) and type(entry.coeffs[0]) is type(result)
 
 
 def test_parse_and_closure_of_quaternion_spec():
