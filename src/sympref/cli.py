@@ -12,6 +12,7 @@ else.
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 
@@ -289,5 +290,45 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
 
 
+def _watched() -> bool:
+    """Whether a tracer or profiler watches this process; from Python
+    3.12 on, cProfile and coverage may use sys.monitoring instead."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)
+    )
+
+
+def _flushed() -> bool:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError):
+            return False
+    return True
+
+
+def cli() -> None:
+    """The command line: run main() and exit with its code.
+
+    A finished command skips interpreter teardown, the finalization of
+    every module and the freeing of every object: it runs the atexit
+    handlers (which also clears them), flushes stdout and stderr, and
+    leaves with os._exit.  It exits through sys.exit as usual when a
+    tracer or profiler watches the process, or when a flush fails, so
+    that the interpreter reports the failed flush and exits 120.  An
+    exception from main(), SystemExit from usage errors and --help
+    included, propagates unchanged."""
+    code = main()
+    if not _watched():
+        atexit._run_exitfuncs()
+        if _flushed():
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    cli()

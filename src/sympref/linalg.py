@@ -14,10 +14,10 @@ canonical: two subspaces are equal iff their stored bases are identical.
 
 Derived operations reuse the core ones.  Every product, `apply` and
 meets included, goes through the one matrix product.  It walks the
-right factor's nonzero entries, kept with the matrix as its key is, adds
-each entry's products with the scalar kernel `_mul_add` and reduces the
-entry once.  A meet comes from the same residuals against an echelon
-basis as `join_dim`.
+right factor's nonzero entries, kept with the matrix as its key and its
+rank are, adds each entry's products with the scalar kernel `_mul_add`
+and reduces the entry once.  A meet comes from the same residuals
+against an echelon basis as `join_dim`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _coerce_entry(value, conductor):
 class ExactMatrix:
     """Immutable matrix over Q(zeta_m), stored row-major."""
 
-    __slots__ = ("rows", "cols", "conductor", "entries", "_key", "_sparse")
+    __slots__ = ("rows", "cols", "conductor", "entries", "_key", "_sparse", "_rank")
 
     def __init__(self, rows, cols, conductor, entries):
         self.rows = rows
@@ -64,6 +64,7 @@ class ExactMatrix:
             )
         self._key = None
         self._sparse = None
+        self._rank = None
 
     @classmethod
     def from_rows(cls, row_lists, conductor: int = 1) -> "ExactMatrix":
@@ -205,8 +206,9 @@ class ExactMatrix:
         return True
 
     def rank(self) -> int:
-        work = self.row_lists()
-        return len(_row_reduce(work))
+        if self._rank is None:  # kept, so a form checked twice is ranked once
+            self._rank = len(_row_reduce(self.row_lists()))
+        return self._rank
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sympref.cli import main
-from sympref.linalg import pairing_form
+from sympref.linalg import ExactMatrix, pairing_form
 from sympref.reflections import VERDICT_HOLDS, VERDICT_OBSTRUCTED
 from sympref.specio import ValidationError, make_group, parse_group_spec
 
@@ -309,6 +309,27 @@ def test_generator_errors_are_one_unchanged_line(tmp_path, capsys, case):
     })
     assert main([command, spec]) == 1
     assert capsys.readouterr() == ("", line)
+
+
+def test_an_explicit_form_is_ranked_once(tmp_path, capsys, monkeypatch):
+    # the parser checks the form and closure checks it again; the second
+    # check reuses the rank the first one kept
+    eliminated = []
+    rank = ExactMatrix.rank
+
+    def counted(self):
+        if getattr(self, "_rank", None) is None:
+            eliminated.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(ExactMatrix, "rank", counted)
+    spec = write_json(tmp_path, "spec.json", {
+        "name": "x", "dimension": 2, "symplectic_form": [[0, 1], [-1, 0]],
+        "generators": [[[0, 1], [-1, 0]]],
+    })
+    assert main(["analyze", "--json", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["group_order"] == 4
+    assert len(eliminated) == 1
 
 
 @pytest.mark.parametrize("digits", [300, 2200])

@@ -36,14 +36,15 @@ def report(modules):
 REPORT = report(WATCHED)
 
 # runs the command line as `python -m sympref.cli` does, with its exit
-# code, and reports which watched modules were loaded
+# code, and reports which watched modules were loaded; the report is an
+# atexit handler, since a finished command leaves by os._exit
 RUN_CLI = (
-    "import runpy, sys\n"
+    "import atexit, runpy, sys\n"
+    "def report():\n"
+    "    " + REPORT +
+    "atexit.register(report)\n"
     "sys.argv = ['sympref'] + sys.argv[1:]\n"
-    "try:\n"
-    "    runpy.run_module('sympref.cli', run_name='__main__', alter_sys=True)\n"
-    "finally:\n"
-    "    " + REPORT
+    "runpy.run_module('sympref.cli', run_name='__main__', alter_sys=True)\n"
 )
 
 LINEAR_SWAP = {

@@ -473,17 +473,22 @@ def lattice_invariants(group):
     )
 
 
+# transvection coefficients: integers, and rationals that take the
+# conjugated generators through Fraction coefficients
+COEFFICIENTS = (-1, 1, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3))
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     entry=st.sampled_from([e for e in CATALOG if e.expected_order <= 24]),
     moves=st.lists(
         st.tuples(st.lists(st.sampled_from((-1, 0, 1)), min_size=8, max_size=8),
-                  st.sampled_from((-1, 1))),
+                  st.sampled_from(COEFFICIENTS)),
         min_size=1, max_size=3,
     ),
 )
 def test_lattice_invariants_survive_a_symplectic_change_of_basis(entry, moves):
-    # P, a product of transvections, is an integer symplectic matrix,
+    # P, a product of transvections, is a rational symplectic matrix,
     # so P G P^-1 is the same group acting on the same space in a dense
     # basis: its verdict, reflections and strata must not change
     group = entry.build()
