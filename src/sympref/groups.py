@@ -13,6 +13,9 @@ regular representation (a permutation table per generator, a Schreier
 word per element).  A product of elements is a table walk, an inverse
 a walk along the element's powers; an element's matrix is stacked from
 its rows when asked for, and a matrix is found by its rows in Omega.
+Each element's fixed-space dimension is read off the traces once per
+cyclic subgroup, into a table built the first time it is asked for.
+A subgroup is the int mask of its element indices.
 Everything downstream works with element indices, which is what makes
 reports deterministic.  Each new element's trace, the sum of its rows'
 diagonal entries, is checked against bounds every element of finite
@@ -21,6 +24,8 @@ of infinite order instead of at the order bound.
 """
 
 from __future__ import annotations
+
+import math
 
 from .cyclotomic import (
     BadInput,
@@ -158,7 +163,7 @@ class FiniteMatrixGroup:
     __slots__ = (
         "dimension", "conductor", "omega", "generators", "traces",
         "_points", "_where", "_rows", "_position", "_tables", "_words",
-        "_conjugations",
+        "_conjugations", "_dims",
     )
 
     def __init__(self, dimension, conductor, omega, generators, points, rows,
@@ -175,6 +180,7 @@ class FiniteMatrixGroup:
         self._tables = tuple(tables)
         self._words = tuple(words)
         self._conjugations = None
+        self._dims = None
 
     @classmethod
     def closure(
@@ -284,6 +290,10 @@ class FiniteMatrixGroup:
         except KeyError:
             raise NotAMember("matrix is not an element of this group") from None
 
+    def word(self, i: int) -> tuple[int, ...]:
+        """The generator positions whose product, in turn, is element i."""
+        return self._words[i]
+
     def product_index(self, i: int, j: int) -> int:
         for k in self._words[j]:
             i = self._tables[k][i]
@@ -337,6 +347,34 @@ class FiniteMatrixGroup:
             )
         return self._conjugations
 
+    def fixed_dimensions(self) -> tuple[int, ...]:
+        """dim V^g per element g; built once.  It is the mean of the
+        traces of g's powers, the trace of the projection onto V^g, and
+        is read once per cyclic subgroup: g^e fixes what g fixes when e
+        is prime to the order of g, and <g^e> = <g> sums the same traces.
+        A mean that is no dimension means the closure broke."""
+        if self._dims is None:
+            dims = [None] * self.order
+            for i in range(self.order):
+                if dims[i] is None:
+                    cycle = powers(self, i)
+                    total = CyclotomicNumber.sum_of(
+                        [self.traces[j] for j in cycle], self.conductor
+                    ).rational_value()
+                    if total is None or total % len(cycle) or not (
+                        0 <= total <= self.dimension * len(cycle)
+                    ):
+                        raise InvariantViolation(
+                            "element %d: the traces of its %d powers sum to "
+                            "%s, not %d times a fixed-space dimension"
+                            % (i, len(cycle), total, len(cycle))
+                        )
+                    for e, x in enumerate(cycle):
+                        if math.gcd(e, len(cycle)) == 1:
+                            dims[x] = int(total) // len(cycle)
+            self._dims = tuple(dims)
+        return self._dims
+
     def __len__(self):
         return self.order
 
@@ -348,26 +386,27 @@ class FiniteMatrixGroup:
 
 
 class SubgroupHandle:
-    """A subgroup of an enumerated group, stored as membership flags."""
+    """A subgroup of an enumerated group, stored as the int mask of its
+    element indices (see `_mask`)."""
 
-    __slots__ = ("parent", "flags")
+    __slots__ = ("parent", "mask")
 
-    def __init__(self, parent: FiniteMatrixGroup, flags):
+    def __init__(self, parent: FiniteMatrixGroup, mask: int):
+        if mask < 0 or mask >> parent.order:
+            raise ValueError("mask has a bit outside the group's indices")
         self.parent = parent
-        self.flags = tuple(flags)
-        if len(self.flags) != parent.order:
-            raise ValueError("flag vector length must match the group order")
+        self.mask = mask
 
     @property
     def order(self) -> int:
-        return sum(1 for f in self.flags if f)
+        return self.mask.bit_count()
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.flags) if f)
+        return _members(self.mask)
 
     @property
     def is_whole_group(self) -> bool:
-        return all(self.flags)
+        return self.mask == (1 << self.parent.order) - 1
 
     def index_in_parent(self) -> int:
         return self.parent.order // self.order
@@ -376,6 +415,20 @@ class SubgroupHandle:
         return "SubgroupHandle(order %d of %d)" % (
             self.order, self.parent.order,
         )
+
+
+def _mask(indices) -> int:
+    """The int with the bits at the given positions set."""
+    out = bytearray(max(indices, default=-1) // 8 + 1)
+    for i in indices:
+        out[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(out, "little")
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The positions of mask's set bits, read in one pass over its
+    binary digits."""
+    return tuple(i for i, d in enumerate(format(mask, "b")[::-1]) if d == "1")
 
 
 def powers(group: FiniteMatrixGroup, element) -> tuple[int, ...]:
@@ -390,23 +443,6 @@ def powers(group: FiniteMatrixGroup, element) -> tuple[int, ...]:
         out.append(cur)
         cur = group.product_index(cur, idx)
     return tuple(out)
-
-
-def fixed_dimension(group: FiniteMatrixGroup, cycle) -> int:
-    """dim V^g for the element g whose powers are cycle: the mean of
-    their traces, which is the trace of the projection onto V^g."""
-    total = CyclotomicNumber.sum_of(
-        [group.traces[j] for j in cycle], group.conductor
-    ).rational_value()
-    if total is None or total % len(cycle) or not (
-        0 <= total <= group.dimension * len(cycle)
-    ):
-        raise InvariantViolation(
-            "element %d: the traces of its %d powers sum to %s, not "
-            "%d times a fixed-space dimension"
-            % (cycle[1 % len(cycle)], len(cycle), total, len(cycle))
-        )
-    return int(total) // len(cycle)
 
 
 def element_order(group: FiniteMatrixGroup, element) -> int:
@@ -434,7 +470,7 @@ def generated_subgroup(group: FiniteMatrixGroup, seeds) -> SubgroupHandle:
             members = set(_closure(
                 group.identity_index, kept, group.product_index, group.order
             )[0])
-    return SubgroupHandle(group, [i in members for i in range(group.order)])
+    return SubgroupHandle(group, _mask(members))
 
 
 def orbits(points: int, moves) -> tuple[tuple[int, ...], ...]:
@@ -452,14 +488,14 @@ def orbits(points: int, moves) -> tuple[tuple[int, ...], ...]:
 
 
 def is_normal(group: FiniteMatrixGroup, subgroup: SubgroupHandle) -> bool:
-    """Whether the subgroup is normal, checked by conjugating each
-    member with each group generator."""
+    """Whether the subgroup is normal: conjugation by each group
+    generator maps its mask to itself."""
     if subgroup.parent is not group:
         raise ValueError("subgroup belongs to a different group")
+    members = subgroup.indices()
     return all(
-        subgroup.flags[conj[h]]
+        _mask([conj[h] for h in members]) == subgroup.mask
         for conj in group.conjugations()
-        for h in subgroup.indices()
     )
 
 

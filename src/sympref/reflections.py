@@ -2,10 +2,12 @@
 
 An element is a symplectic reflection when its fixed space has
 codimension exactly 2, and a complex reflection when the codimension is
-1.  The census reads each fixed-space dimension off the traces the
-closure kept: dim V^g is the mean of tr(g^k) over the cyclic group
-<g>, that mean being the trace of the projection onto V^g, and the
-powers g^k come from the group's index arithmetic.  The subgroup
+1.  The census is one pass over the group's table of fixed-space
+dimensions (`FiniteMatrixGroup.fixed_dimensions`), which reads dim V^g
+off the traces the closure kept: the mean of tr(g^k) over the cyclic
+group <g>, that mean being the trace of the projection onto V^g, once
+per cyclic subgroup.  The table is cached on the group, so no function
+here takes a census as an argument.  The subgroup
 generated by all symplectic reflections is normal; if it is proper,
 the symplectic quotient V/G admits no symplectic resolution, which is
 the verdict this module computes.  The positive branch is only a
@@ -20,10 +22,9 @@ from .cyclotomic import InvariantViolation
 from .groups import (
     FiniteMatrixGroup,
     SubgroupHandle,
-    fixed_dimension,
+    _members,
     generated_subgroup,
     is_normal,
-    powers,
 )
 # fixed_space is no longer called here, but stays importable from this
 # module: perfbench/layers.py wraps it here to count eliminations
@@ -52,10 +53,7 @@ class ReflectionCensus(NamedTuple):
 
 def census(group: FiniteMatrixGroup) -> ReflectionCensus:
     """Classify every element by the codimension of its fixed space."""
-    codims = tuple(
-        group.dimension - fixed_dimension(group, powers(group, i))
-        for i in range(group.order)
-    )
+    codims = tuple(group.dimension - d for d in group.fixed_dimensions())
     return ReflectionCensus(
         codims=codims,
         symplectic_reflections=tuple(
@@ -67,13 +65,9 @@ def census(group: FiniteMatrixGroup) -> ReflectionCensus:
     )
 
 
-def reflection_subgroup(
-    group: FiniteMatrixGroup, cen: ReflectionCensus | None = None
-) -> SubgroupHandle:
+def reflection_subgroup(group: FiniteMatrixGroup) -> SubgroupHandle:
     """The subgroup generated by all symplectic reflections."""
-    if cen is None:
-        cen = census(group)
-    sub = generated_subgroup(group, cen.symplectic_reflections)
+    sub = generated_subgroup(group, census(group).symplectic_reflections)
     # conjugation preserves fixed-space codimension, so the generating
     # set is closed under conjugation and the subgroup is normal
     if not is_normal(group, sub):
@@ -96,20 +90,19 @@ class Verdict(NamedTuple):
 
 
 def verdict(
-    group: FiniteMatrixGroup,
-    cen: ReflectionCensus | None = None,
-    sub: SubgroupHandle | None = None,
+    group: FiniteMatrixGroup, sub: SubgroupHandle | None = None
 ) -> Verdict:
-    """Decide whether symplectic reflections generate the whole group.
+    """Decide whether symplectic reflections generate the whole group;
+    sub, when given, is the group's reflection subgroup.
 
     When they do not, V/G has no symplectic resolution.  The trivial
     group is generated by the empty set of reflections, so it passes
     vacuously.
     """
-    if cen is None:
-        cen = census(group)
     if sub is None:
-        sub = reflection_subgroup(group, cen)
+        sub = reflection_subgroup(group)
+    elif sub.parent is not group:
+        raise ValueError("subgroup belongs to a different group")
     index = group.order // sub.order
     kind = VERDICT_HOLDS if index == 1 else VERDICT_OBSTRUCTED
     note = None
@@ -124,21 +117,13 @@ def verdict(
     )
 
 
-def complex_reflections_generate(
-    group: FiniteMatrixGroup, cen: ReflectionCensus | None = None
-) -> bool:
+def complex_reflections_generate(group: FiniteMatrixGroup) -> bool:
     """Whether complex reflections generate the group; for a linear
     action this is exactly the condition for V/G to be smooth."""
-    if cen is None:
-        cen = census(group)
-    return generated_subgroup(group, cen.complex_reflections).is_whole_group
+    return generated_subgroup(group, census(group).complex_reflections).is_whole_group
 
 
-def z_locus_min_codim(
-    group: FiniteMatrixGroup,
-    subgroup: SubgroupHandle,
-    cen: ReflectionCensus | None = None,
-) -> int:
+def z_locus_min_codim(group: FiniteMatrixGroup, subgroup: SubgroupHandle) -> int:
     """Minimal fixed-space codimension over elements outside the
     subgroup.
 
@@ -151,11 +136,9 @@ def z_locus_min_codim(
         raise ValueError("subgroup belongs to a different group")
     if subgroup.is_whole_group:
         return group.dimension + 1
-    if cen is None:
-        cen = census(group)
-    return min(
-        cen.codims[i] for i in range(group.order) if not subgroup.flags[i]
-    )
+    dims = group.fixed_dimensions()
+    outside = subgroup.mask ^ ((1 << group.order) - 1)
+    return group.dimension - max(dims[i] for i in _members(outside))
 
 
 def doubled_element(g: ExactMatrix) -> ExactMatrix:

@@ -282,8 +282,8 @@ def analyze(group: FiniteMatrixGroup, with_strata: bool = False) -> AnalysisRepo
     reflections = set(cen.symplectic_reflections)
     classes = conjugacy_classes(group)
     class_count = sum(1 for c in classes if c[0] in reflections)
-    sub = reflection_subgroup(group, cen)
-    v = verdict(group, cen, sub)
+    sub = reflection_subgroup(group)
+    v = verdict(group, sub)
     strata = None
     if with_strata:
         lattice = build_lattice(group)
@@ -303,7 +303,7 @@ def analyze(group: FiniteMatrixGroup, with_strata: bool = False) -> AnalysisRepo
         g0_index=v.reflection_subgroup_index,
         verdict=v.kind,
         dim2_duval_note=v.duval_note,
-        z_min_codim=z_locus_min_codim(group, sub, cen),
+        z_min_codim=z_locus_min_codim(group, sub),
         strata=strata,
     )
 

@@ -2,10 +2,11 @@
 
 The strata are the intersection closure of the element fixed spaces,
 that is the subspaces V^H for subgroups H.  Each stratum S is held with
-its pointwise stabilizer K_S = {g : S lies in V^g} as a bitmask over
-element indices.  S = V^(K_S), so S lies in T exactly when K_T is a
-subset of K_S, the stabilizer order is a popcount, and g S has
-stabilizer g K_S g^-1: a mask names its stratum.
+its pointwise stabilizer K_S = {g : S lies in V^g} as an int mask over
+element indices, as a `SubgroupHandle` holds a subgroup.  S = V^(K_S),
+so S lies in T exactly when K_T is a subset of K_S, the stabilizer
+order is a popcount, and g S has stabilizer g K_S g^-1: a mask names
+its stratum.
 
 The lattice is built by orbit-stabilizer bookkeeping (Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, 2005, 4.1), so that
@@ -16,15 +17,17 @@ kept, and the lattice reports the orbits it walked.
 
 - Atoms, the element fixed spaces: one `fixed_space` per orbit of
   them, as g V^x = V^(g x g^-1).  Its mask is tested on the elements
-  whose fixed space, read off the traces, is no smaller; the other
-  atoms of its orbit are moved by the generator matrices, and found by
-  an element they are the fixed space of.
+  whose fixed space is no smaller, by the group's table of fixed-space
+  dimensions, which the census reads too; the other atoms of its orbit
+  are moved by the generator matrices, and found by an element they
+  are the fixed space of.
 - Meets: every stratum is a meet of atoms (Orlik and Terao,
   Arrangements of Hyperplanes, 1992), and (g S) ^ A = g (S ^ g^-1 A),
   so only each orbit's first member S is met with the atoms, and only
   with one atom per orbit of its setwise stabilizer, as S ^ hA = h (S ^ A)
   for h fixing S.  The stabilizer comes from Schreier generators of
-  S's walk, taken until they generate a group of order |G| / |orbit|.
+  S's walk, taken until they generate a group of order |G| / |orbit|;
+  each moves the atoms along its own Schreier word in the group.
   A pair is skipped when K_S | K_A is a known mask, or when a known
   stratum in S (indexed by dimension) with a mask above K_S | K_A has
   the dimension of S ^ A: the largest that dimension can be, or else
@@ -39,11 +42,10 @@ fiber-dimension data.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .cyclotomic import BadInput
-from .groups import FiniteMatrixGroup, _closure, fixed_dimension, orbits, powers
+from .groups import FiniteMatrixGroup, _closure, _mask, orbits
 from .jsonin import load_json, quote, refuse_unknown_keys
 from .linalg import ExactMatrix, Subspace, fixed_space
 
@@ -93,17 +95,7 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     transposed = [group.element(i).transpose() for i in group.generator_indices()]
     moves = range(len(transposed))
 
-    # the dimension of each element's fixed space, read off the traces
-    # once per cyclic subgroup (x^e fixes what x fixes when e is prime
-    # to the order of x)
-    dims = [None] * order
-    for i in range(order):
-        if dims[i] is None:
-            cycle = powers(group, i)
-            dim = fixed_dimension(group, cycle)
-            for e, x in enumerate(cycle):
-                if math.gcd(e, len(cycle)) == 1:
-                    dims[x] = dim
+    dims = group.fixed_dimensions()
 
     def pointwise_stabilizer(space):
         # the elements fixing the space pointwise: only an element whose
@@ -119,7 +111,6 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     owner, stratum_of = [], [None] * order
     walks = []  # per orbit of strata: its numbers, tables and words
     act = [[] for _ in moves]  # act[k][t]: the stratum g_k moves t to
-    back = [[] for _ in moves]  # back[k]: the inverse of act[k]
     inside = {}  # the elements of K_S, for the strata of the current walk
 
     def record(mask, members, space):
@@ -160,9 +151,6 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
         inside.clear()
         for k in moves:
             act[k].extend(offset + j for j in walks[-1][1][k])
-            back[k].extend([None] * (len(masks) - offset))
-            for t in range(offset, len(masks)):
-                back[k][act[k][t]] = t
 
     # the atoms, the element fixed spaces: one elimination per orbit, as
     # a walk meets g V^x = V^(g x g^-1) for every g and sets stratum_of
@@ -187,7 +175,7 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
         for t, m in enumerate(masks):
             if m != k_s and m & k_s == k_s:
                 below.setdefault(spaces[t].dim, []).append(m)
-        stabilizer = _stabilizer_moves(group, orbit_walk, act, back, atoms)
+        stabilizer = _stabilizer_moves(group, orbit_walk, act, atoms)
         for orbit in orbits(atoms, stabilizer):
             a = spaces[orbit[0]]
             both = k_s | masks[orbit[0]]
@@ -249,20 +237,20 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     )))
 
 
-def _stabilizer_moves(group, walk, act, back, atoms):
+def _stabilizer_moves(group, walk, act, atoms):
     """Permutations of the atoms 0..atoms-1 that generate the action of
     the setwise stabilizer of S, the first stratum of the walk.  They are
     Schreier generators u_j^-1 g_k u_i, for u_i the element that the walk
     takes to its i-th stratum, taken until they generate a group of
-    order |G| / |orbit of S|; act[k] and back[k] are the moves of the
-    strata by g_k and by its inverse."""
+    order |G| / |orbit of S|; act[k] is the move of the strata by g_k,
+    and each generator moves the atoms along its own group word."""
     members, tables, words = walk
     if len(members) == 1:
         return [a[:atoms] for a in act]
     gen_index = group.generator_indices()
     gen_inverse = [group.inverse_index(g) for g in gen_index]
     target = group.order // len(members)
-    chosen, kept, generated = [], [], {0}
+    kept, generated = [], {0}
     edges = ((i, k) for i in range(len(members)) for k in range(len(act)))
     for i, k in edges:
         if len(generated) == target:
@@ -278,29 +266,16 @@ def _stabilizer_moves(group, walk, act, back, atoms):
             x = group.product_index(x, gen_inverse[m])
         x = group.product_index(group.product_index(x, gen_index[k]), u_i)
         if x not in generated:
-            chosen.append((i, k, j))
             kept.append(x)
             generated = set(_closure(0, kept, group.product_index, target)[0])
     perms = []
-    for i, k, j in chosen:
-        perm = []
-        for t in range(atoms):
-            for m in words[i]:
-                t = act[m][t]
-            t = act[k][t]
-            for m in reversed(words[j]):
-                t = back[m][t]
-            perm.append(t)
+    for x in kept:
+        perm = list(range(atoms))
+        # x = g_m0 g_m1 ... moves an atom by the last generator first
+        for m in reversed(group.word(x)):
+            perm = [act[m][t] for t in perm]
         perms.append(perm)
     return perms
-
-
-def _mask(indices):
-    """The int with the bits at the given positions set."""
-    out = bytearray(max(indices, default=-1) // 8 + 1)
-    for i in indices:
-        out[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(out, "little")
 
 
 def parse_fiber_data(document) -> dict[int, int]:

@@ -19,6 +19,7 @@ from sympref.groups import (
     NotSymplectic,
     OrderBoundExceeded,
     SingularGenerator,
+    SubgroupHandle,
     conjugacy_classes,
     element_order,
     generated_subgroup,
@@ -379,6 +380,37 @@ def test_generated_subgroup_and_lagrange():
     assert generated_subgroup(g, []).order == 1
     for h in (h2, h3):
         assert g.order % h.order == 0
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in CATALOG if e.expected_order <= 54]
+)
+def test_subgroup_masks_match_a_brute_force_closure(name):
+    # seeds: each generator alone, the last two elements, and the
+    # elements of the first and the last conjugacy class together
+    g = build_entry(name)
+    classes = conjugacy_classes(g)
+    seed_sets = [[i] for i in g.generator_indices()] + [
+        [g.order - 1, g.order - 2], [*classes[0], *classes[-1]], [],
+    ]
+    for seeds in seed_sets:
+        h = generated_subgroup(g, seeds)
+        gens = [g.element(i) for i in seeds]
+        members = brute_force_closure(g.dimension, g.conductor, gens)
+        expected = sorted(
+            i for i in range(g.order) if g.element(i).key() in members
+        )
+        assert h.indices() == tuple(expected), (name, seeds)
+        assert h.order == h.mask.bit_count() == len(members)
+        assert h.is_whole_group == (len(members) == g.order)
+
+
+def test_a_subgroup_mask_stays_inside_the_group():
+    g = s3_group()
+    assert SubgroupHandle(g, (1 << g.order) - 1).is_whole_group
+    for mask in (1 << g.order, -1):
+        with pytest.raises(ValueError, match="outside the group"):
+            SubgroupHandle(g, mask)
 
 
 def test_generated_subgroup_accepts_matrices():

@@ -1,7 +1,12 @@
 import pytest
 
 from sympref import reflections
-from sympref.catalog import CATALOG, build_imprimitive, build_weyl
+from sympref.catalog import (
+    CATALOG,
+    build_imprimitive,
+    build_sl2_subgroup,
+    build_weyl,
+)
 from sympref.cyclotomic import CyclotomicNumber, InvariantViolation
 from sympref.groups import FiniteMatrixGroup, generated_subgroup
 from sympref.linalg import (
@@ -21,6 +26,7 @@ from sympref.reflections import (
     verdict,
     z_locus_min_codim,
 )
+from sympref.stratification import build_lattice
 
 Cyc = CyclotomicNumber
 
@@ -124,6 +130,27 @@ def test_a_reflection_subgroup_that_is_not_normal_raises(monkeypatch):
         reflection_subgroup(block_swap_group())
 
 
+def test_a_corrupted_trace_breaks_the_census_and_the_lattice():
+    # the table sums the traces of each cyclic subgroup once, from its
+    # first element; x^2 is another generator of <x> when x has order 5,
+    # so its trace is summed only as one of x's powers.  The catalog's
+    # builders are cached, and so is the table on a group: corrupt a
+    # fresh copy for each call
+    def corrupted():
+        group = build_sl2_subgroup.__wrapped__("cyclic", 5)
+        x2 = group.product_index(1, 1)
+        assert x2 != 1
+        group.traces = tuple(
+            t + 1 if i == x2 else t for i, t in enumerate(group.traces)
+        )
+        return group
+
+    with pytest.raises(InvariantViolation, match="element 1: the traces"):
+        census(corrupted())
+    with pytest.raises(InvariantViolation, match="element 1: the traces"):
+        build_lattice(corrupted())
+
+
 def test_a_doubled_group_of_another_order_raises(monkeypatch):
     # doubling is injective, so only a broken doubled_element changes the order
     monkeypatch.setattr(
@@ -180,12 +207,22 @@ def test_mixed_group_with_proper_reflection_subgroup():
     assert g.order == 4
     cen = census(g)
     assert len(cen.symplectic_reflections) == 1
-    sub = reflection_subgroup(g, cen)
+    sub = reflection_subgroup(g)
     assert sub.order == 2
-    v = verdict(g, cen, sub)
+    v = verdict(g, sub)
     assert v.kind == VERDICT_OBSTRUCTED
     assert v.reflection_subgroup_index == 2
-    assert z_locus_min_codim(g, sub, cen) == 4
+    assert z_locus_min_codim(g, sub) == 4
+
+
+def test_verdict_refuses_a_subgroup_of_another_group():
+    # a foreign subgroup's order says nothing about this group's index
+    g, other = negation_group(4), quaternion_group()
+    with pytest.raises(ValueError, match="different group"):
+        verdict(g, reflection_subgroup(other))
+    with pytest.raises(ValueError, match="different group"):
+        z_locus_min_codim(g, reflection_subgroup(other))
+    assert verdict(g, reflection_subgroup(g)) == verdict(g)
 
 
 def test_z_locus_minimum_codimension():
@@ -214,7 +251,7 @@ def test_complex_reflection_census_and_smoothness():
     )
     cen = census(s3)
     assert len(cen.complex_reflections) == 3  # the transpositions
-    assert complex_reflections_generate(s3, cen)
+    assert complex_reflections_generate(s3)
 
     w = Cyc.zeta(3)
     scalar = FiniteMatrixGroup.closure(

@@ -18,7 +18,7 @@ from sympref.catalog import (
     get_entry,
 )
 from sympref.cyclotomic import CyclotomicNumber
-from sympref.groups import FiniteMatrixGroup
+from sympref.groups import FiniteMatrixGroup, powers
 from sympref.linalg import (
     ExactMatrix,
     Subspace,
@@ -448,6 +448,24 @@ def test_doubled_b5_lattice_counts():
     group = build_weyl_doubled("B", 5)
     lattice = build_lattice(group)
     assert (group.order, len(lattice), len(lattice.orbits)) == (3840, 648, 19)
+
+
+def test_analysis_with_strata_sums_traces_once_per_cyclic_subgroup(monkeypatch):
+    # the census and the lattice read one table of fixed-space
+    # dimensions, built on a fresh group (the catalog's builders are
+    # cached) with one trace sum per cyclic subgroup
+    group = build_weyl_doubled.__wrapped__("B", 3)
+    cyclic = {frozenset(powers(group, i)) for i in range(group.order)}
+    sums = Counter()
+    sum_of = CyclotomicNumber.sum_of.__func__
+
+    def counted(cls, values, conductor):
+        sums["traces"] += 1
+        return sum_of(cls, values, conductor)
+
+    monkeypatch.setattr(CyclotomicNumber, "sum_of", classmethod(counted))
+    analyze(group, with_strata=True)
+    assert (group.order, sums["traces"]) == (48, len(cyclic))
 
 
 def transvection(v, c, omega):
