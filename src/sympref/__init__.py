@@ -6,9 +6,14 @@ it is not, the symplectic quotient admits no symplectic resolution.
 Everything group-theoretic here is exact, over cyclotomic fields; only
 the 2-form spectrum module works in floating point.
 
-The names below load on first use (PEP 562), so `import sympref`, and
-the command line, which imports this package first, import only the
-submodules they run.
+The names below load on first use (PEP 562), so `import sympref`
+loads no submodule.  The command line, which imports this package
+first, loads `errors` and `jsonin` for every command, --help and usage
+errors included; `spectrum` adds `spectrum` and numpy.  `analyze`,
+`double` and `semismall` add the exact stack (`cyclotomic`, `linalg`,
+`groups`, `reflections`, `specio`), and `analyze --strata` and
+`semismall` add `stratification`.  `catalog` loads `catalog`, whose
+builders import the exact stack, `catalog list` included.
 """
 
 import importlib

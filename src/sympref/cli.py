@@ -16,19 +16,8 @@ import atexit
 import os
 import sys
 
-from .cyclotomic import BadInput
-from .groups import DEFAULT_MAX_ORDER, OrderBoundExceeded
+from .errors import DEFAULT_MAX_ORDER, BadInput, OrderBoundExceeded
 from .jsonin import load_json, refuse_unknown_keys
-from .reflections import VERDICT_HOLDS, double
-from .specio import (
-    analyze,
-    make_group,
-    parse_group_spec,
-    report_to_json,
-    report_to_text,
-    serialize_group_spec,
-    spec_from_group,
-)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -64,7 +53,46 @@ def _write_output(text, path) -> None:
             handle.write(text)
 
 
+# The exact stack loads on the first call of the command that runs it,
+# so that `spectrum`, --help and usage errors never compile it.  The
+# handlers look these wrappers up here at each call, so that a tracer
+# that replaces one sees every call.
+
+
+def parse_group_spec(text):
+    from . import specio
+
+    return specio.parse_group_spec(text)
+
+
+def report_to_json(report) -> str:
+    from . import specio
+
+    return specio.report_to_json(report)
+
+
+def report_to_text(report) -> str:
+    from . import specio
+
+    return specio.report_to_text(report)
+
+
+def serialize_group_spec(doc) -> str:
+    from . import specio
+
+    return specio.serialize_group_spec(doc)
+
+
+def double(group):
+    from . import reflections
+
+    return reflections.double(group)
+
+
 def _cmd_analyze(args) -> int:
+    from .reflections import VERDICT_HOLDS
+    from .specio import analyze, make_group
+
     doc = parse_group_spec(_read_file(args.spec))
     if doc.symplectic_form is None:
         raise BadInput(
@@ -87,6 +115,7 @@ def build_lattice(group):
 
 
 def _cmd_semismall(args) -> int:
+    from .specio import make_group
     from .stratification import parse_fiber_data, semismall_check
 
     group = make_group(parse_group_spec(_read_file(args.spec)), args.max_order)
@@ -108,6 +137,8 @@ def _cmd_semismall(args) -> int:
 
 
 def _cmd_double(args) -> int:
+    from .specio import make_group, spec_from_group
+
     doc = parse_group_spec(_read_file(args.spec))
     if doc.symplectic_form is not None:
         raise BadInput(
@@ -144,6 +175,8 @@ def _cmd_catalog(args) -> int:
                 )
             )
         return EXIT_OK
+    from .specio import spec_from_group
+
     entry = get_entry(args.name)
     group = entry.build()
     out = serialize_group_spec(spec_from_group(entry.name, group))

@@ -28,9 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-class BadInput(ValueError):
-    """Input the operation cannot take; the CLI reports it as one error
-    line with exit code 1.  Every module's input errors derive from it."""
+from .errors import BadInput
 
 
 class ConductorMismatch(BadInput):

@@ -1,0 +1,21 @@
+"""The two errors the command line maps to exit codes, and the default
+bound on a group's order.  This module imports nothing, so that the
+command line can catch them without loading the exact stack;
+`cyclotomic` re-exports BadInput and `groups` the other two."""
+
+DEFAULT_MAX_ORDER = 100_000
+
+
+class BadInput(ValueError):
+    """Input the operation cannot take; the CLI reports it as one error
+    line with exit code 1.  Every module's input errors derive from it."""
+
+
+class OrderBoundExceeded(RuntimeError):
+    """Closure grew past max_order, or met an element of infinite order."""
+
+    def __init__(self, bound, message=None):
+        self.bound = bound
+        super().__init__(
+            message or "group order exceeds the bound %d" % bound
+        )

@@ -27,25 +27,9 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import (
-    BadInput,
-    CyclotomicNumber,
-    InvariantViolation,
-    _same_conductor,
-)
+from .cyclotomic import CyclotomicNumber, InvariantViolation, _same_conductor
+from .errors import DEFAULT_MAX_ORDER, BadInput, OrderBoundExceeded
 from .linalg import DimensionMismatch, ExactMatrix, check_form, is_symplectic
-
-DEFAULT_MAX_ORDER = 100_000
-
-
-class OrderBoundExceeded(RuntimeError):
-    """Closure grew past max_order, or met an element of infinite order."""
-
-    def __init__(self, bound, message=None):
-        self.bound = bound
-        super().__init__(
-            message or "group order exceeds the bound %d" % bound
-        )
 
 
 class SingularGenerator(BadInput):

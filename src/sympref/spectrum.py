@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 
-from .cyclotomic import BadInput
+from .errors import BadInput
 
 DEFAULT_INPUT_TOL = 1e-12
 DEFAULT_PAIR_TOL = 1e-8

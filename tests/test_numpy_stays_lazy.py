@@ -6,7 +6,10 @@ work).  The catalog, and `dataclasses`, which its entries use, are for
 brings `inspect`, `ast`, `dis` and `tokenize` with it.  `stratification`
 is for the commands that build a lattice: `analyze --strata` and
 `semismall`.  `spectrum` itself is for `spectrum` alone, so the other
-commands do not compile it."""
+commands do not compile it.  The exact stack (`cyclotomic`, `linalg`,
+`groups`, `reflections`, `specio`, and `fractions` with them) is for the
+commands that run it: `import sympref.cli`, `spectrum`, --help and usage
+errors do not compile it."""
 
 import ast
 import inspect
@@ -55,8 +58,9 @@ LINEAR_SWAP = {
 }
 
 
-def loaded_modules(code, *args, cwd):
-    """The watched modules that running code loaded."""
+def loaded_modules(code, *args, cwd, returncode=0):
+    """The watched modules that running code loaded; it must exit with
+    returncode."""
     # the package under test, wherever the test process found it
     path = [str(Path(sympref.__file__).resolve().parents[1])]
     path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -65,7 +69,7 @@ def loaded_modules(code, *args, cwd):
         [sys.executable, "-c", code, *args],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
 
@@ -123,10 +127,10 @@ def test_only_catalog_loads_the_catalog_and_dataclasses(tmp_path, argv, loads):
     assert found == ({"dataclasses", "sympref.catalog"} if loads else set())
 
 
-def reporting(module):
-    """The command line run of RUN_CLI, reporting whether module was
+def reporting(*modules):
+    """The command line run of RUN_CLI, reporting which of modules were
     loaded."""
-    return RUN_CLI.replace(REPORT, report((module,)))
+    return RUN_CLI.replace(REPORT, report(modules))
 
 
 LATTICE = "sympref.stratification"
@@ -174,6 +178,65 @@ def test_import_does_not_load_spectrum(tmp_path):
 def test_only_spectrum_loads_spectrum(tmp_path, argv, loads):
     write_inputs(tmp_path)
     assert (SPECTRUM in loaded_modules(RUN_CLI_SPECTRUM, *argv, cwd=tmp_path)) is loads
+
+
+EXACT_STACK = (
+    "sympref.cyclotomic", "sympref.linalg", "sympref.groups",
+    "sympref.reflections", "sympref.specio", "fractions",
+)
+RUN_CLI_EXACT = reporting(*EXACT_STACK)
+
+
+@pytest.mark.parametrize("module", ["sympref", "sympref.cli"])
+def test_import_does_not_load_the_exact_stack(tmp_path, module):
+    code = "import sys, %s\n%s" % (module, report(EXACT_STACK))
+    assert loaded_modules(code, cwd=tmp_path) == set()
+
+
+@pytest.mark.parametrize(
+    "argv, returncode, loads",
+    [
+        (["spectrum", "theta.json"], 0, False),
+        (["--help"], 0, False),
+        (["analyze", "--help"], 0, False),
+        (["frob"], 1, False),
+        (["analyze", "--max-order", "0", "s2.json"], 1, False),
+        (["analyze", "s2.json"], 0, True),
+        (["double", "swap.json"], 0, True),
+        (["semismall", "s2.json", "fibers.json"], 0, True),
+        (["catalog", "emit", "symmetric_n2"], 0, True),
+    ],
+)
+def test_only_the_exact_commands_load_the_exact_stack(tmp_path, argv, returncode, loads):
+    write_inputs(tmp_path)
+    found = loaded_modules(RUN_CLI_EXACT, *argv, cwd=tmp_path, returncode=returncode)
+    assert found == (set(EXACT_STACK) if loads else set())
+
+
+def test_every_module_sees_one_class_per_error(tmp_path):
+    from sympref import cli, cyclotomic, errors, groups, spectrum
+
+    assert cyclotomic.BadInput is spectrum.BadInput is sympref.BadInput
+    assert sympref.BadInput is errors.BadInput is vars(cli)["BadInput"]
+    assert groups.OrderBoundExceeded is errors.OrderBoundExceeded
+    assert groups.OrderBoundExceeded is vars(cli)["OrderBoundExceeded"]
+    assert groups.DEFAULT_MAX_ORDER == errors.DEFAULT_MAX_ORDER
+    # the order bound that the closure in groups raises is exit code 2
+    write_inputs(tmp_path)
+    spec = str(tmp_path / "s2.json")
+    assert cli.main(["analyze", "--max-order", "1", spec]) == cli.EXIT_ORDER_BOUND
+
+
+def test_cli_max_order_default_is_the_library_default(capsys):
+    from sympref import cli, groups
+
+    for argv in (["analyze", "s.json"], ["semismall", "s.json", "f.json"],
+                 ["double", "s.json"]):
+        assert cli.build_parser().parse_args(argv).max_order == groups.DEFAULT_MAX_ORDER
+    with pytest.raises(SystemExit):
+        cli.main(["analyze", "--help"])
+    shown = " ".join(capsys.readouterr().out.split())
+    assert "giving up (default %d)" % groups.DEFAULT_MAX_ORDER in shown
 
 
 def test_cli_tolerance_defaults_are_the_library_defaults():
