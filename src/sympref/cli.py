@@ -137,13 +137,18 @@ def _cmd_semismall(args) -> int:
 
 
 def _cmd_double(args) -> int:
-    from .specio import make_group, spec_from_group
+    from .specio import MAX_DIMENSION, make_group, spec_from_group
 
     doc = parse_group_spec(_read_file(args.spec))
     if doc.symplectic_form is not None:
         raise BadInput(
             "doubling takes a plain linear action; remove the "
             "symplectic form from the input document"
+        )
+    if 2 * doc.dimension > MAX_DIMENSION:
+        raise BadInput(
+            "doubling dimension %d gives %d, over the maximum %d"
+            % (doc.dimension, 2 * doc.dimension, MAX_DIMENSION)
         )
     group = make_group(doc, args.max_order)
     doubled = double(group)

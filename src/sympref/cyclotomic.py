@@ -259,9 +259,6 @@ class CyclotomicNumber:
                     acc[k] += c
         return _number(conductor, _canon(acc))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
@@ -322,7 +319,7 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         """Multiplicative inverse via the extended Euclidean algorithm, each
         remainder made monic before it divides, so coefficients stay small."""
-        if self.is_zero():
+        if not self:
             raise DivisionByZero("cannot invert zero")
         r0 = list(cyclotomic_polynomial(self.conductor))
         r1 = list(self.coeffs)
@@ -406,7 +403,7 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.rational_value() == Fraction(other)
+            return self.rational_value() == other
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         if self.conductor == other.conductor:
@@ -425,7 +422,7 @@ class CyclotomicNumber:
         )
 
     def __str__(self):
-        if self.is_zero():
+        if not self:
             return "0"
         terms = []
         for k, c in enumerate(self.coeffs):

@@ -60,12 +60,13 @@ def _closure(start, generators, multiply, max_size):
     identity, `orbits` and the lattice's stratum orbits at a point.
     Handles must be hashable.  Returns them in discovery order (start
     first), the tables (tables[k][i] is the position of
-    multiply(elements[i], generators[k])) and the Schreier words (the
-    generator positions taking start to elements[i]).
+    multiply(elements[i], generators[k])) and the Schreier tree:
+    parents[i] = (p, k) when elements[i] was first met as
+    multiply(elements[p], generators[k]), and parents[0] is None.
     """
     elements = [start]
     position = {start: 0}
-    words = [()]
+    parents = [None]
     tables = [[] for _ in generators]
     # elements grows while it is scanned: it is the breadth-first queue
     for i, x in enumerate(elements):
@@ -76,9 +77,9 @@ def _closure(start, generators, multiply, max_size):
                 if j >= max_size:
                     raise OrderBoundExceeded(max_size)
                 elements.append(y)
-                words.append(words[i] + (k,))
+                parents.append((i, k))
             tables[k].append(j)
-    return elements, tables, words
+    return elements, tables, parents
 
 
 def _checked_trace(t: CyclotomicNumber, n: int, bound: int) -> CyclotomicNumber:
@@ -139,9 +140,9 @@ class FiniteMatrixGroup:
     omega is the preserved symplectic form, or None for a plain linear
     action (no form checked or stored).  points are Omega's rows, as
     1 x n matrices; rows[i] is the tuple of the positions in Omega of
-    element i's rows.  tables and words are those of _closure,
-    renumbered to the canonical order; traces[i] is the trace of
-    element i.
+    element i's rows.  tables are those of _closure and words[i] is the
+    path to element i in its Schreier tree, both renumbered to the
+    canonical order; traces[i] is the trace of element i.
     """
 
     __slots__ = (
@@ -223,7 +224,11 @@ class FiniteMatrixGroup:
                 )
             return y
 
-        found, tables, words = _closure(start, range(len(moves)), multiply, max_order)
+        found, tables, parents = _closure(start, range(len(moves)), multiply, max_order)
+        # each element's word is its tree parent's, then the edge's generator
+        words = [()]
+        for p, k in parents[1:]:
+            words.append(words[p] + (k,))
         # canonical order: the identity, then by key; a matrix key is its
         # rows' keys in turn
         order = [0] + sorted(
@@ -241,10 +246,6 @@ class FiniteMatrixGroup:
     @property
     def order(self) -> int:
         return len(self._rows)
-
-    @property
-    def identity_index(self) -> int:
-        return 0
 
     def element(self, index: int) -> ExactMatrix:
         """The matrix of element index, stacked from its rows."""
@@ -359,9 +360,6 @@ class FiniteMatrixGroup:
             self._dims = tuple(dims)
         return self._dims
 
-    def __len__(self):
-        return self.order
-
     def __repr__(self):
         kind = "symplectic" if self.omega is not None else "linear"
         return "FiniteMatrixGroup(order %d, dim %d, conductor %d, %s)" % (
@@ -392,9 +390,6 @@ class SubgroupHandle:
     def is_whole_group(self) -> bool:
         return self.mask == (1 << self.parent.order) - 1
 
-    def index_in_parent(self) -> int:
-        return self.parent.order // self.order
-
     def __repr__(self):
         return "SubgroupHandle(order %d of %d)" % (
             self.order, self.parent.order,
@@ -421,9 +416,9 @@ def powers(group: FiniteMatrixGroup, element) -> tuple[int, ...]:
     idx = element if isinstance(element, int) else group.index_of(element)
     if not 0 <= idx < group.order:
         raise NotAMember("element index out of range")
-    out = [group.identity_index]
+    out = [0]
     cur = idx
-    while cur != group.identity_index:
+    while cur != 0:
         out.append(cur)
         cur = group.product_index(cur, idx)
     return tuple(out)
@@ -447,13 +442,11 @@ def generated_subgroup(group: FiniteMatrixGroup, seeds) -> SubgroupHandle:
         if not 0 <= s < group.order:
             raise NotAMember("seed index out of range")
 
-    kept, members = [], {group.identity_index}
+    kept, members = [], {0}
     for s in seed_indices:
         if s not in members:
             kept.append(s)
-            members = set(_closure(
-                group.identity_index, kept, group.product_index, group.order
-            )[0])
+            members = set(_closure(0, kept, group.product_index, group.order)[0])
     return SubgroupHandle(group, _mask(members))
 
 

@@ -329,14 +329,13 @@ class Subspace:
     hashing are structural.
     """
 
-    __slots__ = ("ambient_dim", "conductor", "basis", "_pivots", "_key")
+    __slots__ = ("ambient_dim", "conductor", "basis", "_pivots")
 
     def __init__(self, ambient_dim, conductor, basis, pivots):
         self.ambient_dim = ambient_dim
         self.conductor = conductor
         self.basis = basis  # tuple of coordinate tuples, echelon rows
         self._pivots = pivots
-        self._key = None
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors, conductor: int = 1) -> "Subspace":
@@ -424,12 +423,10 @@ class Subspace:
         ).transpose()
 
     def key(self):
-        if self._key is None:
-            self._key = (
-                self.ambient_dim,
-                tuple(tuple(v.key() for v in vec) for vec in self.basis),
-            )
-        return self._key
+        return (
+            self.ambient_dim,
+            tuple(tuple(v.key() for v in vec) for vec in self.basis),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

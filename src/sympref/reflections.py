@@ -40,29 +40,19 @@ DUVAL_NOTE = (
 
 
 class ReflectionCensus(NamedTuple):
-    """Fixed-space codimensions per element, and the reflection indices."""
+    """Indices of the elements of fixed-space codimension 2, and of 1."""
 
-    codims: tuple[int, ...]
     symplectic_reflections: tuple[int, ...]
     complex_reflections: tuple[int, ...]
 
-    @property
-    def symplectic_reflection_count(self) -> int:
-        return len(self.symplectic_reflections)
-
 
 def census(group: FiniteMatrixGroup) -> ReflectionCensus:
-    """Classify every element by the codimension of its fixed space."""
-    codims = tuple(group.dimension - d for d in group.fixed_dimensions())
-    return ReflectionCensus(
-        codims=codims,
-        symplectic_reflections=tuple(
-            i for i, c in enumerate(codims) if c == 2
-        ),
-        complex_reflections=tuple(
-            i for i, c in enumerate(codims) if c == 1
-        ),
-    )
+    """Classify every element by the codimension of its fixed space, in
+    one pass over the group's table of fixed-space dimensions."""
+    by_codim = {2: [], 1: []}
+    for i, d in enumerate(group.fixed_dimensions()):
+        by_codim.get(group.dimension - d, []).append(i)
+    return ReflectionCensus(tuple(by_codim[2]), tuple(by_codim[1]))
 
 
 def reflection_subgroup(group: FiniteMatrixGroup) -> SubgroupHandle:
@@ -83,10 +73,6 @@ class Verdict(NamedTuple):
     reflection_subgroup_order: int
     reflection_subgroup_index: int
     duval_note: str | None
-
-    @property
-    def obstructed(self) -> bool:
-        return self.kind == VERDICT_OBSTRUCTED
 
 
 def verdict(

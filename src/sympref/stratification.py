@@ -12,7 +12,7 @@ The lattice is built by orbit-stabilizer bookkeeping (Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, 2005, 4.1), so that
 elimination runs only where it can find something new.  Each orbit of
 strata is walked once, by the closure routine of `groups`, under
-conjugation by the generators; the walk's tables and Schreier words are
+conjugation by the generators; the walk's tables and Schreier tree are
 kept, and the lattice reports the orbits it walked.
 
 - Atoms, the element fixed spaces: one `fixed_space` per orbit of
@@ -33,7 +33,7 @@ kept, and the lattice reports the orbits it walked.
   the dimension of S ^ A: the largest that dimension can be, or else
   dim S + dim A - dim(S + A).  A new meet is intersected once.
 - Covers: those of each orbit's first member are the largest strata
-  below it; g moves them to those of g S along the walk.
+  below it; g moves them to those of g S along the walk's tree.
 
 Strata are ordered by ascending codimension, then by canonical
 subspace key, so stratum indices are stable and can be referenced from
@@ -73,7 +73,7 @@ class Stratum(NamedTuple):
 
 
 class StratificationLattice:
-    """The strata in index order; its length is the number of strata."""
+    """The strata in index order, and their orbits under the group."""
 
     __slots__ = ("strata", "orbits")
 
@@ -81,9 +81,6 @@ class StratificationLattice:
         self.strata: tuple[Stratum, ...] = strata
         # orbits of strata under the group
         self.orbits: tuple[tuple[int, ...], ...] = orbits
-
-    def __len__(self):
-        return len(self.strata)
 
 
 def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
@@ -109,7 +106,7 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     # an element with the stratum as its fixed space, or None (a meet of
     # atoms that is no atom), and the stratum each element's fixed space is
     owner, stratum_of = [], [None] * order
-    walks = []  # per orbit of strata: its numbers, tables and words
+    walks = []  # per orbit of strata: its numbers, tables and tree
     act = [[] for _ in moves]  # act[k][t]: the stratum g_k moves t to
     inside = {}  # the elements of K_S, for the strata of the current walk
 
@@ -199,9 +196,9 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
 
     # S_j lies strictly below S_i exactly when K_i is a proper subset of
     # K_j.  The covers of each orbit's first member are the largest
-    # strata below it, and g moves them to those of g S
+    # strata below it, moved to the rest of the orbit along the walk's tree
     covers = [None] * len(masks)
-    for members, _, words in walks:
+    for members, _, parents in walks:
         k_s = masks[members[0]]
         below = sorted(
             (t for t, m in enumerate(masks) if m != k_s and m & k_s == k_s),
@@ -211,11 +208,9 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
         for t in below:
             if not any(masks[c] & masks[t] == masks[c] for c in tops):
                 tops.append(t)
-        for t, word in zip(members, words):
-            moved = tops
-            for k in word:
-                moved = [act[k][c] for c in moved]
-            covers[t] = moved
+        covers[members[0]] = tops
+        for t, (p, k) in zip(members[1:], parents[1:]):
+            covers[t] = [act[k][c] for c in covers[members[p]]]
 
     ranked = sorted(
         range(len(masks)), key=lambda t: (spaces[t].codim, spaces[t].key())
@@ -240,15 +235,23 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
 def _stabilizer_moves(group, walk, act, atoms):
     """Permutations of the atoms 0..atoms-1 that generate the action of
     the setwise stabilizer of S, the first stratum of the walk.  They are
-    Schreier generators u_j^-1 g_k u_i, for u_i the element that the walk
-    takes to its i-th stratum, taken until they generate a group of
-    order |G| / |orbit of S|; act[k] is the move of the strata by g_k,
-    and each generator moves the atoms along its own group word."""
-    members, tables, words = walk
+    Schreier generators v_j g_k u_i, for u_i the element that the walk's
+    tree takes to its i-th stratum and v_i = u_i^-1, taken until they
+    generate a group of order |G| / |orbit of S|; act[k] is the move of
+    the strata by g_k, and each generator moves the atoms along its own
+    group word."""
+    members, tables, parents = walk
     if len(members) == 1:
         return [a[:atoms] for a in act]
     gen_index = group.generator_indices()
     gen_inverse = [group.inverse_index(g) for g in gen_index]
+    conjugations = group.conjugations()
+    # down the tree edge parents[i] = (p, k): u_i = g_k u_p, which is
+    # (g_k u_p g_k^-1) g_k, and v_i = v_p g_k^-1
+    u, v = [0], [0]
+    for p, k in parents[1:]:
+        u.append(group.product_index(conjugations[k][u[p]], gen_index[k]))
+        v.append(group.product_index(v[p], gen_inverse[k]))
     target = group.order // len(members)
     kept, generated = [], {0}
     edges = ((i, k) for i in range(len(members)) for k in range(len(act)))
@@ -256,15 +259,9 @@ def _stabilizer_moves(group, walk, act, atoms):
         if len(generated) == target:
             break
         j = tables[k][i]
-        if words[j] == words[i] + (k,):
+        if parents[j] == (i, k):
             continue  # an edge of the walk's tree
-        u_i = 0
-        for m in reversed(words[i]):
-            u_i = group.product_index(u_i, gen_index[m])
-        x = 0
-        for m in words[j]:
-            x = group.product_index(x, gen_inverse[m])
-        x = group.product_index(group.product_index(x, gen_index[k]), u_i)
+        x = group.product_index(group.product_index(v[j], gen_index[k]), u[i])
         if x not in generated:
             kept.append(x)
             generated = set(_closure(0, kept, group.product_index, target)[0])

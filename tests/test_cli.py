@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sympref.cli import main
+from sympref.groups import FiniteMatrixGroup
 from sympref.linalg import ExactMatrix, pairing_form
 from sympref.reflections import VERDICT_HOLDS, VERDICT_OBSTRUCTED
 from sympref.specio import ValidationError, make_group, parse_group_spec
@@ -487,6 +488,39 @@ def test_double_writes_a_loadable_spec(tmp_path, capsys):
     group = make_group(doc)
     assert group.order == 6
     assert group.omega == pairing_form(3, 1)
+
+
+def swap_spec(dimension):
+    # the linear action of the transposition of the first two coordinates
+    rows = [["1" if i == j else "0" for j in range(dimension)] for i in range(dimension)]
+    rows[0], rows[1] = rows[1], rows[0]
+    return {"name": "swap", "dimension": dimension, "conductor": 1,
+            "symplectic_form": None, "generators": [rows]}
+
+
+def test_double_writes_a_spec_at_the_largest_dimension(tmp_path, capsys):
+    spec = write_json(tmp_path, "spec.json", swap_spec(16))
+    out_path = tmp_path / "doubled.json"
+    assert main(["double", spec, "-o", str(out_path)]) == 0
+    doc = parse_group_spec(out_path.read_text())
+    assert doc.dimension == 32
+    assert make_group(doc).order == 2
+
+
+def test_double_refuses_a_spec_it_could_not_read_back(tmp_path, capsys, monkeypatch):
+    # 2 * 17 is over the parser's maximum dimension of 32: the spec is
+    # refused before any group is closed, and no file is written
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure ran")
+
+    monkeypatch.setattr(FiniteMatrixGroup, "closure", no_closure)
+    spec = write_json(tmp_path, "spec.json", swap_spec(17))
+    out_path = tmp_path / "doubled.json"
+    assert main(["double", spec, "-o", str(out_path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: doubling dimension 17 gives 34, over the maximum 32\n"
+    )
+    assert not out_path.exists()
 
 
 def test_analyze_refuses_a_spec_without_a_form(tmp_path, capsys):

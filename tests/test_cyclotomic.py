@@ -107,7 +107,7 @@ def test_addition_frozen_values():
     half = Cyc.rational(Fraction(1, 2))
     assert (half + half).rational_value() == 1
     i = Cyc.zeta(4)
-    assert (i + (-i)).is_zero()
+    assert not i + (-i)
     w = Cyc.zeta(3)
     s = (Cyc.one(3) + w) + w
     assert s.coeffs == (Fraction(1), Fraction(2))
@@ -164,7 +164,7 @@ def test_division_round_trip():
         for _ in range(8):
             a = rand_cyc(rng, m)
             b = rand_cyc(rng, m)
-            if b.is_zero():
+            if not b:
                 continue
             assert (a / b) * b == a
 
@@ -198,7 +198,7 @@ def test_norm_is_rational_and_positive():
             if m in (3, 4):  # imaginary quadratic: |a|^2 lands in Q
                 assert n is not None
                 assert n >= 0
-                assert (n == 0) == a.is_zero()
+                assert (n == 0) == (not a)
 
 
 def test_promotion_frozen_values():
@@ -275,7 +275,7 @@ def test_integer_and_fraction_operands_coerce():
     w = Cyc.zeta(3)
     assert 1 + w == Cyc.one(3) + w
     assert 2 * w == w + w
-    assert (w - w).is_zero()
+    assert not w - w
     assert (Fraction(1, 2) * (w + w)) == w
 
 

@@ -321,8 +321,8 @@ def test_product_and_inverse_indices():
     g = quaternion_group()
     for i in range(g.order):
         inv = g.inverse_index(i)
-        assert g.product_index(i, inv) == g.identity_index
-        assert g.product_index(inv, i) == g.identity_index
+        assert g.product_index(i, inv) == 0
+        assert g.product_index(inv, i) == 0
 
 
 @pytest.mark.parametrize(
@@ -356,7 +356,7 @@ def test_powers_are_the_cyclic_subgroup():
     g = quaternion_group()
     for i in range(g.order):
         cyclic = powers(g, i)
-        assert cyclic[0] == g.identity_index
+        assert cyclic[0] == 0
         assert len(set(cyclic)) == len(cyclic) == element_order(g, i)
         assert generated_subgroup(g, [i]).indices() == tuple(sorted(cyclic))
 
@@ -435,7 +435,7 @@ def test_conjugacy_classes_partition_the_group():
         classes = conjugacy_classes(g)
         seen = [i for c in classes for i in c]
         assert sorted(seen) == list(range(g.order))
-        assert classes[0] == (g.identity_index,)
+        assert classes[0] == (0,)
         for c in classes:
             assert g.order % len(c) == 0
 
