@@ -1,8 +1,13 @@
 """Named families of finite symplectic matrix groups.
 
-Every builder returns a fully enumerated group whose order is checked
-against the closed-form count for the family, so a catalog group that
-builds at all is known to be the group it claims to be.
+Every builder closes its family's generators and checks the order
+against the closed-form count for the family, in one routine, so a
+catalog group that builds at all is known to be the group it claims to
+be.  A Weyl group's generators are the simple reflections read off its
+Cartan matrix, which is written as the Dynkin diagram's bonds: a chain
+of simple bonds, with the last node hung on the branch node for D and
+E, and one entry for the long root of the double or triple bond of B,
+C, F4 and G2.
 """
 
 from __future__ import annotations
@@ -26,11 +31,16 @@ class ParameterOutOfRange(BadInput):
     """A family parameter outside the supported range."""
 
 
-def _checked_order(group: FiniteMatrixGroup, expected: int) -> FiniteMatrixGroup:
-    if group.order != expected:
+def _closed(order, dimension, gens, conductor=1, symplectic=False):
+    """The group gens generate on C^dimension, keeping the standard
+    symplectic form when symplectic, checked to have the family's
+    order."""
+    omega = standard_symplectic_form(dimension, conductor) if symplectic else None
+    group = FiniteMatrixGroup.closure(dimension, conductor, omega, gens)
+    if group.order != order:
         raise InvariantViolation(
             "closure gave order %d, the family has order %d"
-            % (group.order, expected)
+            % (group.order, order)
         )
     return group
 
@@ -87,70 +97,44 @@ def build_symmetric_on_squares(n: int) -> FiniteMatrixGroup:
             rows[a + off][b + off] = 1
             rows[b + off][a + off] = 1
         gens.append(ExactMatrix.from_rows(rows))
-    group = FiniteMatrixGroup.closure(
-        dim, 1, standard_symplectic_form(dim), gens
-    )
-    return _checked_order(group, math.factorial(n))
+    return _closed(math.factorial(n), dim, gens, symplectic=True)
 
 
-_WEYL_FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
+# the rank and the order of each exceptional type
+_EXCEPTIONAL = {
+    "E6": (6, 51840), "E7": (7, 2903040), "E8": (8, 696729600),
+    "F4": (4, 1152), "G2": (2, 12),
+}
+_WEYL_FAMILIES = ("A", "B", "C", "D", *_EXCEPTIONAL)
+
+# (i, j, n[i][j]) where the long root alpha_j meets a double or triple
+# bond; a negative index counts back from the last node
+_LONG_BOND = {"B": (-1, -2, -2), "C": (-2, -1, -2), "F4": (1, 2, -2), "G2": (1, 0, -3)}
 
 
 def _weyl_order(family: str, rank: int) -> int | None:
     """The order; None for a classical type whose order passes the
     default bound."""
+    if family in _EXCEPTIONAL:
+        return _EXCEPTIONAL[family][1]
     if family == "A":
         return _order(range(2, rank + 2))
-    if family in ("B", "C", "D"):
-        twos = rank - 1 if family == "D" else rank
-        return _order(chain(range(2, rank + 1), repeat(2, twos)))
-    return {
-        "E6": 51840,
-        "E7": 2903040,
-        "E8": 696729600,
-        "F4": 1152,
-        "G2": 12,
-    }[family]
+    twos = rank - 1 if family == "D" else rank
+    return _order(chain(range(2, rank + 1), repeat(2, twos)))
 
 
 def _cartan_pairings(family: str, rank: int) -> list[list[int]]:
-    """n[i][j] = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i)."""
+    """n[i][j] = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i), from the
+    Dynkin diagram: the chain 0 - 1 - ... - (rank - 1) of bonds set to
+    -1 both ways, except that D and E hang the last node on their branch
+    node (rank - 3 for D, 2 for E), then _LONG_BOND's entry, if any."""
     n = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def chain_edge(i, j):
-        n[i][j] = -1
-        n[j][i] = -1
-
-    if family == "A":
-        for i in range(rank - 1):
-            chain_edge(i, i + 1)
-    elif family in ("B", "C"):
-        for i in range(rank - 2):
-            chain_edge(i, i + 1)
-        # last root short for B, long for C
-        if family == "B":
-            n[rank - 2][rank - 1] = -1
-            n[rank - 1][rank - 2] = -2
-        else:
-            n[rank - 2][rank - 1] = -2
-            n[rank - 1][rank - 2] = -1
-    elif family == "D":
-        for i in range(rank - 2):
-            chain_edge(i, i + 1)
-        chain_edge(rank - 3, rank - 1)
-    elif family in ("E6", "E7", "E8"):
-        # chain 0-1-...-(rank-2), with the last node on the third link
-        for i in range(rank - 2):
-            chain_edge(i, i + 1)
-        chain_edge(2, rank - 1)
-    elif family == "F4":
-        chain_edge(0, 1)
-        chain_edge(2, 3)
-        n[1][2] = -2
-        n[2][1] = -1
-    elif family == "G2":
-        n[0][1] = -1
-        n[1][0] = -3
+    branch = {"D": rank - 3, "E": 2}.get(family[0], rank - 2)
+    for i, j in zip([*range(rank - 2), branch], range(1, rank)):
+        n[i][j] = n[j][i] = -1
+    if family in _LONG_BOND:
+        i, j, value = _LONG_BOND[family]
+        n[i][j] = value
     return n
 
 
@@ -161,16 +145,14 @@ def build_weyl(family: str, rank: int | None = None) -> FiniteMatrixGroup:
     family = family.upper()
     if family not in _WEYL_FAMILIES:
         raise ParameterOutOfRange("unknown family %r" % family)
-    fixed_rank = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}.get(family)
-    if fixed_rank is not None:
+    if family in _EXCEPTIONAL:
+        fixed_rank = _EXCEPTIONAL[family][0]
         if rank not in (None, fixed_rank):
-            raise ParameterOutOfRange(
-                "%s has rank %d" % (family, fixed_rank)
-            )
+            raise ParameterOutOfRange("%s has rank %d" % (family, fixed_rank))
         rank = fixed_rank
+    elif rank is None:
+        raise ParameterOutOfRange("family %s needs a rank" % family)
     else:
-        if rank is None:
-            raise ParameterOutOfRange("family %s needs a rank" % family)
         minimum = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
         if rank < minimum:
             raise ParameterOutOfRange(
@@ -180,15 +162,13 @@ def build_weyl(family: str, rank: int | None = None) -> FiniteMatrixGroup:
     order = _weyl_order(family, rank)
     _refuse_oversized(order, 1, "the %s%d Weyl group" % (family[0], rank))
 
-    pairings = _cartan_pairings(family, rank)
+    # the simple reflection s_i has row i of 1 - n, and otherwise 1's rows
     gens = []
-    for i in range(rank):
+    for i, pairings in enumerate(_cartan_pairings(family, rank)):
         rows = _identity_rows(rank)
-        for j in range(rank):
-            rows[i][j] = (1 if i == j else 0) - pairings[i][j]
+        rows[i] = [r - p for r, p in zip(rows[i], pairings)]
         gens.append(ExactMatrix.from_rows(rows))
-    group = FiniteMatrixGroup.closure(rank, 1, None, gens)
-    return _checked_order(group, order)
+    return _closed(order, rank, gens)
 
 
 @lru_cache(maxsize=None)
@@ -199,13 +179,11 @@ def build_weyl_doubled(
     return double(build_weyl(family, rank))
 
 
-_SL2_KINDS = (
-    "cyclic",
-    "binary_dihedral",
-    "binary_tetrahedral",
-    "binary_octahedral",
-    "binary_icosahedral",
-)
+# the order of each binary polyhedral group
+_POLYHEDRAL = {
+    "binary_tetrahedral": 24, "binary_octahedral": 48, "binary_icosahedral": 120,
+}
+_SL2_KINDS = ("cyclic", "binary_dihedral", *_POLYHEDRAL)
 
 
 def _su2_matrix(a, b, c, d, conductor):
@@ -249,45 +227,32 @@ def build_sl2_subgroup(kind: str, k: int | None = None) -> FiniteMatrixGroup:
     else:
         if k is not None:
             raise ParameterOutOfRange("%s takes no parameter" % kind)
-        half = Fraction(1, 2)
-        if kind == "binary_tetrahedral":
-            conductor = 8
-            gens = [
-                _su2_matrix(0, 1, 0, 0, 8),
-                _su2_matrix(half, half, half, half, 8),
-            ]
-            expected = 24
-        elif kind == "binary_octahedral":
-            conductor = 8
-            z8 = Cyc.zeta(8)
-            gens = [
-                _su2_matrix(0, 1, 0, 0, 8),
-                _su2_matrix(half, half, half, half, 8),
-                ExactMatrix.from_rows([[z8, 0], [0, z8 ** 7]], 8),
-            ]
-            expected = 48
-        else:  # binary_icosahedral
+        expected = _POLYHEDRAL[kind]
+        if kind == "binary_icosahedral":
             conductor = 20
             eta = Cyc.zeta(5).promote(20)
-            sqrt5_inv = (
-                eta - eta ** 2 - eta ** 3 + eta ** 4
-            ).inverse()
-            s = ExactMatrix.from_rows(
-                [[eta ** 3, 0], [0, eta ** 2]], 20
-            )
-            t = ExactMatrix.from_rows(
-                [
-                    [-(eta - eta ** 4), eta ** 2 - eta ** 3],
-                    [eta ** 2 - eta ** 3, eta - eta ** 4],
-                ],
-                20,
-            ).scale(sqrt5_inv)
-            gens = [s, t]
-            expected = 120
-    group = FiniteMatrixGroup.closure(
-        2, conductor, standard_symplectic_form(2, conductor), gens
-    )
-    return _checked_order(group, expected)
+            sqrt5_inv = (eta - eta ** 2 - eta ** 3 + eta ** 4).inverse()
+            gens = [
+                ExactMatrix.from_rows([[eta ** 3, 0], [0, eta ** 2]], 20),
+                ExactMatrix.from_rows(
+                    [[-(eta - eta ** 4), eta ** 2 - eta ** 3],
+                     [eta ** 2 - eta ** 3, eta - eta ** 4]],
+                    20,
+                ).scale(sqrt5_inv),
+            ]
+        else:
+            # i and (1 + i + j + k) / 2; the octahedral group adds the
+            # diagonal of an eighth root of unity
+            conductor = 8
+            half = Fraction(1, 2)
+            gens = [
+                _su2_matrix(0, 1, 0, 0, 8),
+                _su2_matrix(half, half, half, half, 8),
+            ]
+            if kind == "binary_octahedral":
+                z8 = Cyc.zeta(8)
+                gens.append(ExactMatrix.from_rows([[z8, 0], [0, z8 ** 7]], 8))
+    return _closed(expected, 2, gens, conductor, symplectic=True)
 
 
 @lru_cache(maxsize=None)
@@ -318,8 +283,7 @@ def build_imprimitive(m: int, p: int, n: int) -> FiniteMatrixGroup:
             rows[0][0] = z
             rows[1][1] = z ** (m - 1)
             gens.append(ExactMatrix.from_rows(rows, m))
-    group = FiniteMatrixGroup.closure(n, m, None, gens)
-    return _checked_order(group, order)
+    return _closed(order, n, gens, m)
 
 
 @lru_cache(maxsize=None)
@@ -337,10 +301,7 @@ def build_negation(dim: int) -> FiniteMatrixGroup:
     """
     if dim % 2 or dim < 4:
         raise ParameterOutOfRange("dim must be even and at least 4")
-    group = FiniteMatrixGroup.closure(
-        dim, 1, standard_symplectic_form(dim), [-ExactMatrix.identity(dim)]
-    )
-    return _checked_order(group, 2)
+    return _closed(2, dim, [-ExactMatrix.identity(dim)], symplectic=True)
 
 
 @dataclass(frozen=True)
@@ -362,11 +323,10 @@ def _entries():
             lambda n=n: build_symmetric_on_squares(n),
         ))
     for family, rank in (("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 3), ("G2", 2)):
-        name = "weyl_%s%d_doubled" % (family.lower(), rank)
-        if family in ("G2",):
-            name = "weyl_g2_doubled"
+        label = family if family in _EXCEPTIONAL else family + str(rank)
         entries.append(CatalogEntry(
-            name, 2 * rank, _weyl_order(family, rank), VERDICT_HOLDS,
+            "weyl_%s_doubled" % label.lower(), 2 * rank,
+            _weyl_order(family, rank), VERDICT_HOLDS,
             "doubled Weyl group of type %s, rank %d" % (family, rank),
             lambda family=family, rank=rank: build_weyl_doubled(family, rank),
         ))
@@ -382,11 +342,7 @@ def _entries():
             "binary dihedral group of order %d" % (4 * k),
             lambda k=k: build_sl2_subgroup("binary_dihedral", k),
         ))
-    for kind, order in (
-        ("binary_tetrahedral", 24),
-        ("binary_octahedral", 48),
-        ("binary_icosahedral", 120),
-    ):
+    for kind, order in _POLYHEDRAL.items():
         entries.append(CatalogEntry(
             "sl2_%s" % kind, 2, order, VERDICT_HOLDS,
             "%s group" % kind.replace("_", " "),

@@ -16,18 +16,16 @@ import atexit
 import os
 import sys
 
-from .errors import DEFAULT_MAX_ORDER, BadInput, OrderBoundExceeded
+from .errors import (
+    DEFAULT_INPUT_TOL, DEFAULT_MAX_ORDER, DEFAULT_PAIR_TOL, BadInput,
+    OrderBoundExceeded,
+)
 from .jsonin import load_json, refuse_unknown_keys
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_ORDER_BOUND = 2
 EXIT_NEGATIVE = 3
-
-# spectrum.DEFAULT_INPUT_TOL and DEFAULT_PAIR_TOL, kept here so that the
-# other commands need not load `spectrum`
-DEFAULT_INPUT_TOL = 1e-12
-DEFAULT_PAIR_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,9 +1,12 @@
-"""The two errors the command line maps to exit codes, and the default
-bound on a group's order.  This module imports nothing, so that the
-command line can catch them without loading the exact stack;
+"""The two errors the command line maps to exit codes, the default
+bound on a group's order and the default tolerances of `spectrum`.
+This module imports nothing, so that the command line can catch the
+errors and show the defaults without loading the exact stack or numpy;
 `cyclotomic` re-exports BadInput and `groups` the other two."""
 
 DEFAULT_MAX_ORDER = 100_000
+DEFAULT_INPUT_TOL = 1e-12
+DEFAULT_PAIR_TOL = 1e-8
 
 
 class BadInput(ValueError):

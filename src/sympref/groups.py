@@ -68,17 +68,20 @@ def _closure(start, generators, multiply, max_size):
     position = {start: 0}
     parents = [None]
     tables = [[] for _ in generators]
+    # k, generators[k] and tables[k], unpacked flat once per product
+    edges = list(zip(range(len(tables)), generators, tables))
     # elements grows while it is scanned: it is the breadth-first queue
     for i, x in enumerate(elements):
-        for k, g in enumerate(generators):
+        for k, g, table in edges:
             y = multiply(x, g)
-            j = position.setdefault(y, len(elements))
-            if j == len(elements):
+            j = position.get(y)
+            if j is None:
+                j = position[y] = len(elements)
                 if j >= max_size:
                     raise OrderBoundExceeded(max_size)
                 elements.append(y)
                 parents.append((i, k))
-            tables[k].append(j)
+            table.append(j)
     return elements, tables, parents
 
 

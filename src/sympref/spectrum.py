@@ -20,10 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 
-from .errors import BadInput
-
-DEFAULT_INPUT_TOL = 1e-12
-DEFAULT_PAIR_TOL = 1e-8
+from .errors import DEFAULT_INPUT_TOL, DEFAULT_PAIR_TOL, BadInput
 
 
 class ToleranceViolation(BadInput, ArithmeticError):

@@ -14,7 +14,6 @@ import itertools
 import json
 import time
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,6 +57,8 @@ from sympref.stratification import (
     semismall_check,
 )
 
+from helpers import icosian_group, quat_order
+
 PAIR_TOL = 1e-8             # relative pairing of singular values
 PFAFFIAN_TOL = 1e-8         # relative match of prod(lambda) vs |Pf|
 SCALING_TOL = 1e-8          # relative match of lambda(c T) vs |c| lambda(T)
@@ -73,70 +74,6 @@ def criterion(number, label):
         ok = True
     finally:
         print("criterion %d (%s): %s" % (number, label, "PASS" if ok else "FAIL"))
-
-
-# ---------------------------------------------------------------------------
-# independent oracle for criterion 3: unit icosians, i.e. quaternions
-# over Q(sqrt 5) carried as pairs of Fractions (a + b sqrt5)
-
-def f5_mul(a, b):
-    return (a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-F5_ZERO = (Fraction(0), Fraction(0))
-F5_ONE = (Fraction(1), Fraction(0))
-
-
-def quat_mul(p, q):
-    w1, x1, y1, z1 = p
-    w2, x2, y2, z2 = q
-
-    def term(*pairs):
-        total = F5_ZERO
-        for sign, a, b in pairs:
-            prod = f5_mul(a, b)
-            if sign < 0:
-                prod = (-prod[0], -prod[1])
-            total = (total[0] + prod[0], total[1] + prod[1])
-        return total
-
-    return (
-        term((1, w1, w2), (-1, x1, x2), (-1, y1, y2), (-1, z1, z2)),
-        term((1, w1, x2), (1, x1, w2), (1, y1, z2), (-1, z1, y2)),
-        term((1, w1, y2), (-1, x1, z2), (1, y1, w2), (1, z1, x2)),
-        term((1, w1, z2), (1, x1, y2), (-1, y1, x2), (1, z1, w2)),
-    )
-
-
-QUAT_ONE = (F5_ONE, F5_ZERO, F5_ZERO, F5_ZERO)
-
-
-def icosian_group():
-    half = (Fraction(1, 2), Fraction(0))
-    phi_half = (Fraction(1, 4), Fraction(1, 4))
-    inv_phi_half = (Fraction(-1, 4), Fraction(1, 4))
-    g1 = (half, half, half, half)
-    g2 = (phi_half, inv_phi_half, half, F5_ZERO)
-    elems = {QUAT_ONE, g1, g2}
-    frontier = [g1, g2]
-    while frontier:
-        q = frontier.pop()
-        for g in (g1, g2):
-            p = quat_mul(q, g)
-            if p not in elems:
-                elems.add(p)
-                frontier.append(p)
-        assert len(elems) <= 150, "runaway closure"
-    return elems
-
-
-def quat_order(q):
-    n = 1
-    cur = q
-    while cur != QUAT_ONE:
-        cur = quat_mul(cur, q)
-        n += 1
-    return n
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import json
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sympref.catalog import (
     CATALOG,
     ParameterOutOfRange,
+    _cartan_pairings,
     build_entry,
     build_imprimitive_doubled,
     build_negation,
@@ -17,80 +20,13 @@ from sympref.catalog import (
     entry_names,
     get_entry,
 )
+from sympref.cli import main
 from sympref.groups import OrderBoundExceeded, element_order
 from sympref.reflections import VERDICT_HOLDS, VERDICT_OBSTRUCTED, verdict
 
+from helpers import icosian_group, quat_order
 
-# ---------------------------------------------------------------------------
-# independent oracle for the binary icosahedral group: unit icosians,
-# i.e. quaternions over Q(sqrt 5) with plain Fraction arithmetic
-
-def f5_mul(a, b):
-    # (x + y sqrt5)(u + v sqrt5)
-    return (a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def f5_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-F5_ZERO = (Fraction(0), Fraction(0))
-F5_ONE = (Fraction(1), Fraction(0))
-
-
-def quat_mul(p, q):
-    w1, x1, y1, z1 = p
-    w2, x2, y2, z2 = q
-
-    def term(*pairs):
-        total = F5_ZERO
-        for sign, a, b in pairs:
-            prod = f5_mul(a, b)
-            if sign < 0:
-                prod = (-prod[0], -prod[1])
-            total = f5_add(total, prod)
-        return total
-
-    return (
-        term((1, w1, w2), (-1, x1, x2), (-1, y1, y2), (-1, z1, z2)),
-        term((1, w1, x2), (1, x1, w2), (1, y1, z2), (-1, z1, y2)),
-        term((1, w1, y2), (-1, x1, z2), (1, y1, w2), (1, z1, x2)),
-        term((1, w1, z2), (1, x1, y2), (-1, y1, x2), (1, z1, w2)),
-    )
-
-
-QUAT_ONE = (F5_ONE, F5_ZERO, F5_ZERO, F5_ZERO)
-
-
-def icosian_group():
-    half = (Fraction(1, 2), Fraction(0))
-    phi_half = (Fraction(1, 4), Fraction(1, 4))        # phi / 2
-    inv_phi_half = (Fraction(-1, 4), Fraction(1, 4))   # 1 / (2 phi)
-    g1 = (half, half, half, half)
-    g2 = (phi_half, inv_phi_half, half, F5_ZERO)
-    elems = {QUAT_ONE, g1, g2}
-    frontier = [g1, g2]
-    while frontier:
-        q = frontier.pop()
-        for g in (g1, g2):
-            p = quat_mul(q, g)
-            if p not in elems:
-                elems.add(p)
-                frontier.append(p)
-        assert len(elems) <= 150, "runaway closure"
-    return elems
-
-
-def quat_order(q):
-    n = 1
-    cur = q
-    while cur != QUAT_ONE:
-        cur = quat_mul(cur, q)
-        n += 1
-    return n
-
-
-# ---------------------------------------------------------------------------
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_catalog_entry_builds_with_its_advertised_order():
@@ -165,6 +101,78 @@ def test_huge_weyl_groups_error_before_enumerating():
     for family in ("E7", "E8"):
         with pytest.raises(OrderBoundExceeded):
             build_weyl_doubled(family)
+
+
+def determinant(rows):
+    """By Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+# every family build_weyl takes, up to rank 8, with the closed-form
+# determinant of its Cartan matrix
+CARTAN_DETERMINANTS = [
+    *(("A", n, n + 1) for n in range(1, 9)),
+    *(("B", n, 2) for n in range(2, 9)),
+    *(("C", n, 2) for n in range(2, 9)),
+    *(("D", n, 4) for n in range(3, 9)),
+    ("E6", 6, 3), ("E7", 7, 2), ("E8", 8, 1), ("F4", 4, 1), ("G2", 2, 1),
+]
+
+
+@pytest.mark.parametrize("family, rank, det", CARTAN_DETERMINANTS)
+def test_cartan_matrix_has_the_closed_form_determinant(family, rank, det):
+    n = _cartan_pairings(family, rank)
+    assert len(n) == rank and all(len(row) == rank for row in n)
+    for i in range(rank):
+        assert n[i][i] == 2
+        for j in range(rank):
+            if i != j:
+                assert n[i][j] <= 0 and (n[i][j] == 0) == (n[j][i] == 0)
+    assert determinant(n) == det
+
+
+@pytest.mark.parametrize("family, rank, name", [
+    ("E6", 6, "weyl_e6_doubled"), ("F4", 4, "weyl_f4_doubled"),
+    ("B", 5, "weyl_b5_doubled"),
+])
+def test_simple_reflections_are_the_blocks_of_the_doubled_specs(family, rank, name):
+    # s_i has row i of delta - n and the identity's other rows; doubling
+    # keeps each generator as the upper-left block
+    spec = json.loads((ROOT / "bench" / "specs" / (name + ".json")).read_text())
+    blocks = [
+        [[int(x) for x in row[:rank]] for row in g[:rank]]
+        for g in spec["generators"]
+    ]
+    n = _cartan_pairings(family, rank)
+    reflections = [
+        [[int(r == j) - (n[i][j] if r == i else 0) for j in range(rank)]
+         for r in range(rank)]
+        for i in range(rank)
+    ]
+    assert blocks == reflections
+
+
+@pytest.mark.parametrize("name", entry_names())
+def test_catalog_emit_prints_the_recorded_spec(name, capsys):
+    # perfbench/data/specs.json holds what `catalog emit` printed when the
+    # benchmark was recorded; the benchmark's emit cases are judged by it
+    specs = json.loads((ROOT / "perfbench" / "data" / "specs.json").read_text())
+    assert main(["catalog", "emit", name]) == 0
+    want = json.dumps(specs["catalog"][name], indent=2) + "\n"
+    assert capsys.readouterr().out == want
 
 
 def test_sl2_cyclic_and_dihedral():

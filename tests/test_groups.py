@@ -35,30 +35,9 @@ from sympref.linalg import (
 )
 from sympref.specio import make_group, spec_from_group
 
+from helpers import perm_matrix, quaternion_group, s3_group
+
 Cyc = CyclotomicNumber
-
-
-def perm_matrix(images):
-    n = len(images)
-    rows = [[0] * n for _ in range(n)]
-    for src, dst in enumerate(images):
-        rows[dst][src] = 1
-    return ExactMatrix.from_rows(rows)
-
-
-def s3_group():
-    return FiniteMatrixGroup.closure(
-        3, 1, None, [perm_matrix([1, 0, 2]), perm_matrix([0, 2, 1])]
-    )
-
-
-def quaternion_group():
-    i = Cyc.zeta(4)
-    gi = ExactMatrix.from_rows([[i, 0], [0, -i]])
-    gj = ExactMatrix.from_rows([[0, 1], [-1, 0]], 4)
-    return FiniteMatrixGroup.closure(
-        2, 4, standard_symplectic_form(2, 4), [gi, gj]
-    )
 
 
 def brute_force_closure(dimension, conductor, gens):

@@ -240,7 +240,7 @@ def test_cli_max_order_default_is_the_library_default(capsys):
 
 
 def test_cli_tolerance_defaults_are_the_library_defaults():
-    # the command line keeps its own copy, so as not to load `spectrum`
+    # both read `errors`, so the command line need not load `spectrum`
     from sympref import cli, spectrum
 
     args = cli.build_parser().parse_args(["spectrum", "theta.json"])

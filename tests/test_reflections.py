@@ -28,39 +28,9 @@ from sympref.reflections import (
 )
 from sympref.stratification import build_lattice
 
+from helpers import block_swap_group, diagonal, perm_matrix, quaternion_group
+
 Cyc = CyclotomicNumber
-
-
-def diagonal(*values):
-    n = len(values)
-    return ExactMatrix.from_rows(
-        [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-def perm_matrix(images):
-    n = len(images)
-    rows = [[0] * n for _ in range(n)]
-    for src, dst in enumerate(images):
-        rows[dst][src] = 1
-    return ExactMatrix.from_rows(rows)
-
-
-def quaternion_group():
-    i = Cyc.zeta(4)
-    return FiniteMatrixGroup.closure(
-        2, 4, standard_symplectic_form(2, 4),
-        [ExactMatrix.from_rows([[i, 0], [0, -i]]),
-         ExactMatrix.from_rows([[0, 1], [-1, 0]], 4)],
-    )
-
-
-def block_swap_group():
-    # the two-element group exchanging the two planes of C^4
-    swap = perm_matrix([2, 3, 0, 1])
-    return FiniteMatrixGroup.closure(
-        4, 1, standard_symplectic_form(4), [swap]
-    )
 
 
 def negation_group(dim):

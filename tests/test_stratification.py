@@ -35,32 +35,7 @@ from sympref.stratification import (
     semismall_check,
 )
 
-
-def perm_matrix(images):
-    n = len(images)
-    rows = [[0] * n for _ in range(n)]
-    for src, dst in enumerate(images):
-        rows[dst][src] = 1
-    return ExactMatrix.from_rows(rows)
-
-
-def diagonal(*values):
-    n = len(values)
-    return ExactMatrix.from_rows(
-        [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-def block_swap_group():
-    return FiniteMatrixGroup.closure(
-        4, 1, standard_symplectic_form(4), [perm_matrix([2, 3, 0, 1])]
-    )
-
-
-def s3_group():
-    return FiniteMatrixGroup.closure(
-        3, 1, None, [perm_matrix([1, 0, 2]), perm_matrix([0, 2, 1])]
-    )
+from helpers import block_swap_group, diagonal, perm_matrix, s3_group
 
 
 def test_block_swap_lattice():
