@@ -14,6 +14,10 @@ errors included; `spectrum` adds `spectrum` and numpy.  `analyze`,
 `groups`, `reflections`, `specio`), and `analyze --strata` and
 `semismall` add `stratification`.  `catalog` loads `catalog`, whose
 builders import the exact stack, `catalog list` included.
+
+Inside the package, `_deferred(name)` defers a public function the
+same way, next to PEP 562's `__getattr__`, but looks it up in its home
+module at each call; `cli` and `specio` call the exact stack through it.
 """
 
 import importlib
@@ -77,6 +81,19 @@ def __getattr__(name):
     value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
     globals()[name] = value
     return value
+
+
+def _deferred(name):
+    """The public function `name`, looked up in its home module at each
+    call, so that the module loads on first use and a replacement set
+    there is the one called."""
+    home = "." + _HOME[name]  # a misspelt name fails at import
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(home, __name__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
 def __dir__():

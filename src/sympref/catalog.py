@@ -45,22 +45,23 @@ def _closed(order, dimension, gens, conductor=1, symplectic=False):
     return group
 
 
-def _order(factors, divisor=1):
-    """The product of the positive integers `factors`, over `divisor`;
-    None as soon as it passes the default bound, so that the order of
-    an oversized family member is never multiplied out."""
+def _imprimitive_order(m: int, p: int, n: int) -> int | None:
+    """m^n n! / p, the order of G(m, p, n), which is S_n for m = 1 and
+    the Weyl group of B_n or D_n for m = 2 and p = 1 or 2; None as soon
+    as it passes the default bound, so that the order of an oversized
+    family member is never multiplied out."""
     order = 1
-    for f in factors:
+    for f in chain(range(2, n + 1), repeat(m, n)):
         order *= f
-        if order > DEFAULT_MAX_ORDER * divisor:
+        if order > DEFAULT_MAX_ORDER * p:
             return None
-    return order // divisor
+    return order // p
 
 
 def _refuse_oversized(order, conductor, what="the group"):
     """Refuse, before any generator is built, an order over the default
-    bound (or None, from _order) or a conductor over the one every
-    parsed document meets."""
+    bound (or None, from _imprimitive_order) or a conductor over the one
+    every parsed document meets."""
     if order is None or order > DEFAULT_MAX_ORDER:
         raise OrderBoundExceeded(
             DEFAULT_MAX_ORDER,
@@ -97,7 +98,7 @@ def build_symmetric_on_squares(n: int) -> FiniteMatrixGroup:
             rows[a + off][b + off] = 1
             rows[b + off][a + off] = 1
         gens.append(ExactMatrix.from_rows(rows))
-    return _closed(math.factorial(n), dim, gens, symplectic=True)
+    return _closed(_imprimitive_order(1, 1, n), dim, gens, symplectic=True)
 
 
 # the rank and the order of each exceptional type
@@ -118,9 +119,8 @@ def _weyl_order(family: str, rank: int) -> int | None:
     if family in _EXCEPTIONAL:
         return _EXCEPTIONAL[family][1]
     if family == "A":
-        return _order(range(2, rank + 2))
-    twos = rank - 1 if family == "D" else rank
-    return _order(chain(range(2, rank + 1), repeat(2, twos)))
+        return _imprimitive_order(1, 1, rank + 1)
+    return _imprimitive_order(2, 2 if family == "D" else 1, rank)
 
 
 def _cartan_pairings(family: str, rank: int) -> list[list[int]]:
@@ -186,6 +186,12 @@ _POLYHEDRAL = {
 _SL2_KINDS = ("cyclic", "binary_dihedral", *_POLYHEDRAL)
 
 
+def _sl2_order(kind: str, k: int | None = None) -> int:
+    if kind in _POLYHEDRAL:
+        return _POLYHEDRAL[kind]
+    return k if kind == "cyclic" else 4 * k
+
+
 def _su2_matrix(a, b, c, d, conductor):
     """The matrix of the unit quaternion a + bi + cj + dk."""
     i = Cyc.zeta(4).promote(conductor)
@@ -209,16 +215,15 @@ def build_sl2_subgroup(kind: str, k: int | None = None) -> FiniteMatrixGroup:
     if kind == "cyclic":
         if k is None or k < 1:
             raise ParameterOutOfRange("cyclic needs k >= 1")
-        conductor = expected = k
-        _refuse_oversized(expected, conductor)
+        conductor = k
+        _refuse_oversized(_sl2_order(kind, k), conductor)
         z = Cyc.zeta(k)
         gens = [ExactMatrix.from_rows([[z, 0], [0, z ** (k - 1)]], k)]
     elif kind == "binary_dihedral":
         if k is None or k < 2:
             raise ParameterOutOfRange("binary dihedral needs k >= 2")
         conductor = math.lcm(2 * k, 4)
-        expected = 4 * k
-        _refuse_oversized(expected, conductor)
+        _refuse_oversized(_sl2_order(kind, k), conductor)
         z = Cyc.zeta(2 * k)
         gens = [
             ExactMatrix.from_rows([[z, 0], [0, z ** (2 * k - 1)]], conductor),
@@ -227,7 +232,6 @@ def build_sl2_subgroup(kind: str, k: int | None = None) -> FiniteMatrixGroup:
     else:
         if k is not None:
             raise ParameterOutOfRange("%s takes no parameter" % kind)
-        expected = _POLYHEDRAL[kind]
         if kind == "binary_icosahedral":
             conductor = 20
             eta = Cyc.zeta(5).promote(20)
@@ -252,7 +256,7 @@ def build_sl2_subgroup(kind: str, k: int | None = None) -> FiniteMatrixGroup:
             if kind == "binary_octahedral":
                 z8 = Cyc.zeta(8)
                 gens.append(ExactMatrix.from_rows([[z8, 0], [0, z8 ** 7]], 8))
-    return _closed(expected, 2, gens, conductor, symplectic=True)
+    return _closed(_sl2_order(kind, k), 2, gens, conductor, symplectic=True)
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +268,7 @@ def build_imprimitive(m: int, p: int, n: int) -> FiniteMatrixGroup:
         raise ParameterOutOfRange(
             "need m, n >= 1 and p a divisor of m"
         )
-    order = _order(chain(range(2, n + 1), repeat(m, n)), p)
+    order = _imprimitive_order(m, p, n)
     _refuse_oversized(order, m)
     gens = []
     for i in range(n - 1):
@@ -318,7 +322,7 @@ def _entries():
     entries = []
     for n in (2, 3, 4):
         entries.append(CatalogEntry(
-            "symmetric_n%d" % n, 2 * n, math.factorial(n), VERDICT_HOLDS,
+            "symmetric_n%d" % n, 2 * n, _imprimitive_order(1, 1, n), VERDICT_HOLDS,
             "symmetric group permuting %d symplectic planes" % n,
             lambda n=n: build_symmetric_on_squares(n),
         ))
@@ -330,18 +334,16 @@ def _entries():
             "doubled Weyl group of type %s, rank %d" % (family, rank),
             lambda family=family, rank=rank: build_weyl_doubled(family, rank),
         ))
-    for k in (2, 3, 5):
-        entries.append(CatalogEntry(
-            "sl2_cyclic_%d" % k, 2, k, VERDICT_HOLDS,
-            "cyclic group of order %d in the plane" % k,
-            lambda k=k: build_sl2_subgroup("cyclic", k),
-        ))
-    for k in (2, 3):
-        entries.append(CatalogEntry(
-            "sl2_binary_dihedral_%d" % k, 2, 4 * k, VERDICT_HOLDS,
-            "binary dihedral group of order %d" % (4 * k),
-            lambda k=k: build_sl2_subgroup("binary_dihedral", k),
-        ))
+    for kind, summary, ks in (
+        ("cyclic", "cyclic group of order %d in the plane", (2, 3, 5)),
+        ("binary_dihedral", "binary dihedral group of order %d", (2, 3)),
+    ):
+        for k in ks:
+            order = _sl2_order(kind, k)
+            entries.append(CatalogEntry(
+                "sl2_%s_%d" % (kind, k), 2, order, VERDICT_HOLDS, summary % order,
+                lambda kind=kind, k=k: build_sl2_subgroup(kind, k),
+            ))
     for kind, order in _POLYHEDRAL.items():
         entries.append(CatalogEntry(
             "sl2_%s" % kind, 2, order, VERDICT_HOLDS,
@@ -349,10 +351,9 @@ def _entries():
             lambda kind=kind: build_sl2_subgroup(kind),
         ))
     for m, p, n in ((2, 1, 2), (2, 2, 2), (3, 1, 2), (4, 2, 2), (2, 1, 3), (3, 3, 3)):
-        order = m ** n * math.factorial(n) // p
         entries.append(CatalogEntry(
-            "imprimitive_%d_%d_%d" % (m, p, n), 2 * n, order, VERDICT_HOLDS,
-            "doubled imprimitive reflection group on %d letters" % n,
+            "imprimitive_%d_%d_%d" % (m, p, n), 2 * n, _imprimitive_order(m, p, n),
+            VERDICT_HOLDS, "doubled imprimitive reflection group on %d letters" % n,
             lambda m=m, p=p, n=n: build_imprimitive_doubled(m, p, n),
         ))
     for dim in (4, 6):

@@ -16,6 +16,7 @@ import atexit
 import os
 import sys
 
+from . import _deferred
 from .errors import (
     DEFAULT_INPUT_TOL, DEFAULT_MAX_ORDER, DEFAULT_PAIR_TOL, BadInput,
     OrderBoundExceeded,
@@ -52,39 +53,17 @@ def _write_output(text, path) -> None:
 
 
 # The exact stack loads on the first call of the command that runs it,
-# so that `spectrum`, --help and usage errors never compile it.  The
-# handlers look these wrappers up here at each call, so that a tracer
-# that replaces one sees every call.
-
-
-def parse_group_spec(text):
-    from . import specio
-
-    return specio.parse_group_spec(text)
-
-
-def report_to_json(report) -> str:
-    from . import specio
-
-    return specio.report_to_json(report)
-
-
-def report_to_text(report) -> str:
-    from . import specio
-
-    return specio.report_to_text(report)
-
-
-def serialize_group_spec(doc) -> str:
-    from . import specio
-
-    return specio.serialize_group_spec(doc)
-
-
-def double(group):
-    from . import reflections
-
-    return reflections.double(group)
+# so that `spectrum`, --help and usage errors never compile it.  These
+# names stay attributes of this module, looked up by the handlers at
+# each call, because they are the tracer's patch sites: a tracer that
+# replaces one here sees every call.
+parse_group_spec = _deferred("parse_group_spec")
+report_to_json = _deferred("report_to_json")
+report_to_text = _deferred("report_to_text")
+serialize_group_spec = _deferred("serialize_group_spec")
+double = _deferred("double")
+build_lattice = _deferred("build_lattice")
+get_entry = _deferred("get_entry")
 
 
 def _cmd_analyze(args) -> int:
@@ -102,14 +81,6 @@ def _cmd_analyze(args) -> int:
     rendered = report_to_json(report) if args.json else report_to_text(report)
     sys.stdout.write(rendered)
     return EXIT_OK if report.verdict == VERDICT_HOLDS else EXIT_NEGATIVE
-
-
-def build_lattice(group):
-    """The group's stratification; only the commands that build one load
-    `stratification`."""
-    from . import stratification
-
-    return stratification.build_lattice(group)
 
 
 def _cmd_semismall(args) -> int:
@@ -153,13 +124,6 @@ def _cmd_double(args) -> int:
     out = serialize_group_spec(spec_from_group(doc.name + "_doubled", doubled))
     _write_output(out, args.output)
     return EXIT_OK
-
-
-def get_entry(name):
-    """The catalog entry of that name; only `catalog` loads the catalog."""
-    from . import catalog
-
-    return catalog.get_entry(name)
 
 
 def _cmd_catalog(args) -> int:

@@ -142,10 +142,11 @@ class FiniteMatrixGroup:
 
     omega is the preserved symplectic form, or None for a plain linear
     action (no form checked or stored).  points are Omega's rows, as
-    1 x n matrices; rows[i] is the tuple of the positions in Omega of
-    element i's rows.  tables are those of _closure and words[i] is the
-    path to element i in its Schreier tree, both renumbered to the
-    canonical order; traces[i] is the trace of element i.
+    1 x n matrices, and where maps a row's key to its position; rows[i]
+    is the tuple of the positions in Omega of element i's rows.  tables
+    are those of _closure and words[i] is the path to element i in its
+    Schreier tree, both renumbered to the canonical order; traces[i] is
+    the trace of element i.
     """
 
     __slots__ = (
@@ -154,15 +155,15 @@ class FiniteMatrixGroup:
         "_conjugations", "_dims",
     )
 
-    def __init__(self, dimension, conductor, omega, generators, points, rows,
-                 tables, words, traces):
+    def __init__(self, dimension, conductor, omega, generators, points, where,
+                 rows, tables, words, traces):
         self.dimension = dimension
         self.conductor = conductor
         self.omega = omega
         self.generators = tuple(generators)
         self.traces = tuple(traces)
         self._points = tuple(points)
-        self._where = {p.key(): a for a, p in enumerate(self._points)}
+        self._where = where
         self._rows = tuple(rows)
         self._position = {x: i for i, x in enumerate(self._rows)}
         self._tables = tuple(tables)
@@ -239,7 +240,7 @@ class FiniteMatrixGroup:
         )
         renumber = sorted(range(len(order)), key=order.__getitem__)  # inverse
         return cls(
-            n, conductor, omega, gens, points,
+            n, conductor, omega, gens, points, where,
             [found[i] for i in order],
             [[renumber[t[i]] for i in order] for t in tables],
             [words[i] for i in order],

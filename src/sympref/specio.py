@@ -25,6 +25,7 @@ import json
 import re
 from typing import NamedTuple
 
+from . import _deferred
 from .cyclotomic import BadInput, CyclotomicNumber, _exact, euler_phi
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -268,12 +269,8 @@ class AnalysisReport(NamedTuple):
     strata: tuple | None  # per-orbit dicts, or None when not requested
 
 
-def build_lattice(group):
-    """The group's stratification; only an analysis with strata loads
-    `stratification`."""
-    from . import stratification
-
-    return stratification.build_lattice(group)
+# only an analysis with strata loads `stratification`
+build_lattice = _deferred("build_lattice")
 
 
 def analyze(group: FiniteMatrixGroup, with_strata: bool = False) -> AnalysisReport:

@@ -175,6 +175,31 @@ def test_catalog_emit_prints_the_recorded_spec(name, capsys):
     assert capsys.readouterr().out == want
 
 
+# closure refuses to run before the catalog is first imported
+CATALOG_LIST_CHILD = """
+from sympref.groups import FiniteMatrixGroup
+
+def refuse(*args, **kwargs):
+    raise AssertionError("closure ran")
+
+FiniteMatrixGroup.closure = classmethod(refuse)
+from sympref.cli import main
+raise SystemExit(main(["catalog", "list"]))
+"""
+
+
+def test_catalog_list_closes_no_group():
+    # every entry's order is its family's closed form, read without
+    # building the group, at import and at listing alike
+    proc = subprocess.run(
+        [sys.executable, "-c", CATALOG_LIST_CHILD],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert names == list(entry_names()) and len(names) == 25
+
+
 def test_sl2_cyclic_and_dihedral():
     assert build_sl2_subgroup("cyclic", 1).order == 1
     two = build_sl2_subgroup("cyclic", 2)

@@ -478,6 +478,44 @@ def test_semismall_reads_fibers_before_building_the_lattice(
     )
 
 
+# the names the command line and specio call through sympref._deferred
+DEFERRED = {
+    "cli": [
+        "parse_group_spec", "report_to_json", "report_to_text",
+        "serialize_group_spec", "double", "build_lattice", "get_entry",
+    ],
+    "specio": ["build_lattice"],
+}
+
+
+def test_deferred_names_keep_their_public_names():
+    import importlib
+
+    import sympref
+
+    for module, names in DEFERRED.items():
+        home = importlib.import_module("sympref." + module)
+        assert [getattr(home, n).__name__ for n in names] == names
+    with pytest.raises(KeyError):
+        sympref._deferred("no_such_name")
+
+
+def test_analyze_renders_with_the_function_specio_holds_at_the_call(
+    tmp_path, capsys, monkeypatch
+):
+    # the command line looks report_to_text up in specio at each call,
+    # so a replacement set there after an earlier call is the one called
+    spec = write_json(tmp_path, "spec.json", BLOCK_SWAP)
+    assert main(["analyze", spec]) == 0
+    assert "group order" in capsys.readouterr().out
+    monkeypatch.setattr(
+        "sympref.specio.report_to_text",
+        lambda report: "order %d\n" % report.group_order,
+    )
+    assert main(["analyze", spec]) == 0
+    assert capsys.readouterr() == ("order 2\n", "")
+
+
 def test_double_writes_a_loadable_spec(tmp_path, capsys):
     spec = write_json(tmp_path, "spec.json", PERM3)
     out_path = tmp_path / "doubled.json"

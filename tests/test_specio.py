@@ -267,6 +267,25 @@ def test_analyze_quaternion_report_with_strata():
     )
 
 
+def test_analyze_builds_the_lattice_stratification_holds_at_the_call(monkeypatch):
+    # specio looks build_lattice up in stratification at each call, so a
+    # replacement set there after an earlier call is the one called
+    import sympref.stratification as stratification
+
+    group = make_group(parse_group_spec(json.dumps(quaternion_spec_dict())))
+    first = analyze(group, with_strata=True)
+    built = []
+    original = stratification.build_lattice
+
+    def recording(g):
+        built.append(g)
+        return original(g)
+
+    monkeypatch.setattr(stratification, "build_lattice", recording)
+    assert analyze(group, with_strata=True) == first
+    assert built == [group]
+
+
 def test_report_json_key_order_is_fixed():
     group = make_group(parse_group_spec(json.dumps(negation_spec_dict())))
     text = report_to_json(analyze(group))
