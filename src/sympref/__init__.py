@@ -17,7 +17,8 @@ builders import the exact stack, `catalog list` included.
 
 Inside the package, `_deferred(name)` defers a public function the
 same way, next to PEP 562's `__getattr__`, but looks it up in its home
-module at each call; `cli` and `specio` call the exact stack through it.
+module at each call; `cli` calls the exact stack and `spectrum` through
+it, and `specio` the lattice.
 """
 
 import importlib

@@ -52,11 +52,13 @@ def _write_output(text, path) -> None:
             handle.write(text)
 
 
-# The exact stack loads on the first call of the command that runs it,
-# so that `spectrum`, --help and usage errors never compile it.  These
-# names stay attributes of this module, looked up by the handlers at
-# each call, because they are the tracer's patch sites: a tracer that
-# replaces one here sees every call.
+# The exact stack, and `spectrum` with numpy, load on the first call of
+# the command that runs them, so that no other command, --help or usage
+# error compiles them.  These names stay attributes of this module,
+# looked up by the handlers at each call, because they are the tracer's
+# patch sites: a tracer that replaces one here sees every call.  A
+# handler reads its input file before it imports the exact stack, so a
+# file that cannot be read costs no compile.
 parse_group_spec = _deferred("parse_group_spec")
 report_to_json = _deferred("report_to_json")
 report_to_text = _deferred("report_to_text")
@@ -64,13 +66,15 @@ serialize_group_spec = _deferred("serialize_group_spec")
 double = _deferred("double")
 build_lattice = _deferred("build_lattice")
 get_entry = _deferred("get_entry")
+symplectic_eigenvalues = _deferred("symplectic_eigenvalues")
 
 
 def _cmd_analyze(args) -> int:
+    text = _read_file(args.spec)
     from .reflections import VERDICT_HOLDS
     from .specio import analyze, make_group
 
-    doc = parse_group_spec(_read_file(args.spec))
+    doc = parse_group_spec(text)
     if doc.symplectic_form is None:
         raise BadInput(
             "analysis needs a symplectic form to preserve; add one to the "
@@ -84,10 +88,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_semismall(args) -> int:
+    text = _read_file(args.spec)
     from .specio import make_group
     from .stratification import parse_fiber_data, semismall_check
 
-    group = make_group(parse_group_spec(_read_file(args.spec)), args.max_order)
+    group = make_group(parse_group_spec(text), args.max_order)
     fibers = parse_fiber_data(_read_file(args.fibers))
     lattice = build_lattice(group)
     result = semismall_check(lattice, fibers)
@@ -106,9 +111,10 @@ def _cmd_semismall(args) -> int:
 
 
 def _cmd_double(args) -> int:
+    text = _read_file(args.spec)
     from .specio import MAX_DIMENSION, make_group, spec_from_group
 
-    doc = parse_group_spec(_read_file(args.spec))
+    doc = parse_group_spec(text)
     if doc.symplectic_form is not None:
         raise BadInput(
             "doubling takes a plain linear action; remove the "
@@ -151,31 +157,16 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def symplectic_eigenvalues(
-    theta,
-    metric=None,
-    input_tol: float = DEFAULT_INPUT_TOL,
-    pair_tol: float = DEFAULT_PAIR_TOL,
-):
-    """The symplectic eigenvalues of theta; only `spectrum` loads
-    `spectrum`.  A process that has not yet loaded numpy gets OpenBLAS
-    with one thread, unless OPENBLAS_NUM_THREADS says otherwise: one
-    small SVD never uses a thread pool, and starting one costs more than
-    the SVD."""
-    if "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from . import spectrum
-
-    return spectrum.symplectic_eigenvalues(
-        theta, metric, input_tol=input_tol, pair_tol=pair_tol
-    )
-
-
 def _cmd_spectrum(args) -> int:
     payload = load_json(_read_file(args.theta), BadInput)
     if not isinstance(payload, dict) or "theta" not in payload:
         raise BadInput('spectrum input needs a "theta" matrix')
     refuse_unknown_keys(payload, ("theta", "metric"), BadInput)
+    # before numpy's first import, OpenBLAS gets one thread unless
+    # OPENBLAS_NUM_THREADS says otherwise: one small SVD never uses a
+    # thread pool, and starting one costs more than the SVD
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     values = symplectic_eigenvalues(
         payload["theta"],
         payload.get("metric"),

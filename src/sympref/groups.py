@@ -15,12 +15,14 @@ a walk along the element's powers; an element's matrix is stacked from
 its rows when asked for, and a matrix is found by its rows in Omega.
 Each element's fixed-space dimension is read off the traces once per
 cyclic subgroup, into a table built the first time it is asked for.
-A subgroup is the int mask of its element indices.
-Everything downstream works with element indices, which is what makes
-reports deterministic.  Each new element's trace, the sum of its rows'
-diagonal entries, is checked against bounds every element of finite
-order meets, so that most infinite groups stop at their first element
-of infinite order instead of at the order bound.
+A subgroup carries its group and the int mask of its element indices,
+so a question about a subgroup takes the subgroup alone.  Everything
+downstream works with element indices, which is what makes reports
+deterministic; `index_of` is the one way from a matrix to its index.
+Each new element's trace, the sum of its rows' diagonal entries, is
+checked against bounds every element of finite order meets, so that
+most infinite groups stop at their first element of infinite order
+instead of at the order bound.
 """
 
 from __future__ import annotations
@@ -372,14 +374,18 @@ class FiniteMatrixGroup:
 
 
 class SubgroupHandle:
-    """A subgroup of an enumerated group, stored as the int mask of its
-    element indices (see `_mask`)."""
+    """A subgroup of an enumerated group: it carries its group, parent,
+    and the int mask of its element indices (see `_mask`), which holds
+    the identity, element 0."""
 
     __slots__ = ("parent", "mask")
 
     def __init__(self, parent: FiniteMatrixGroup, mask: int):
-        if mask < 0 or mask >> parent.order:
-            raise ValueError("mask has a bit outside the group's indices")
+        if mask < 0 or mask >> parent.order or not mask & 1:
+            raise ValueError(
+                "mask has a bit outside the group's indices, or not the "
+                "identity's bit 0"
+            )
         self.parent = parent
         self.mask = mask
 
@@ -414,44 +420,49 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i for i, d in enumerate(format(mask, "b")[::-1]) if d == "1")
 
 
-def powers(group: FiniteMatrixGroup, element) -> tuple[int, ...]:
-    """Indices of g^0, g^1, ..., g^(n-1) for an element g (index or
-    matrix) of order n."""
-    idx = element if isinstance(element, int) else group.index_of(element)
-    if not 0 <= idx < group.order:
+def powers(group: FiniteMatrixGroup, index: int) -> tuple[int, ...]:
+    """Indices of g^0, g^1, ..., g^(n-1) for the element g of the given
+    index, of order n."""
+    if not 0 <= index < group.order:
         raise NotAMember("element index out of range")
     out = [0]
-    cur = idx
+    cur = index
     while cur != 0:
         out.append(cur)
-        cur = group.product_index(cur, idx)
+        cur = group.product_index(cur, index)
     return tuple(out)
 
 
-def element_order(group: FiniteMatrixGroup, element) -> int:
-    """Multiplicative order of an element (index or matrix)."""
-    return len(powers(group, element))
+def element_order(group: FiniteMatrixGroup, index: int) -> int:
+    """Multiplicative order of the element of the given index."""
+    return len(powers(group, index))
+
+
+def _grow(group: FiniteMatrixGroup, candidates, target: int):
+    """Grow a subgroup from the identity: a candidate (an element index)
+    outside the subgroup generated so far is kept and the kept ones are
+    closed again, so each closure at least doubles the subgroup.  No
+    candidate is drawn once its order reaches target, which it may not
+    pass.  Returns the kept candidates and the subgroup's indices."""
+    kept, members = [], {0}
+    candidates = iter(candidates)
+    while len(members) < target:
+        x = next(candidates, None)
+        if x is None:
+            break
+        if x not in members:
+            kept.append(x)
+            members = set(_closure(0, kept, group.product_index, target)[0])
+    return kept, members
 
 
 def generated_subgroup(group: FiniteMatrixGroup, seeds) -> SubgroupHandle:
-    """The subgroup generated by the given elements (indices or matrices).
-
-    A seed inside the subgroup generated so far is skipped, so each
-    closure at least doubles it: at most log2 |G| closures are run.
-    """
-    seed_indices = sorted(
-        {s if isinstance(s, int) else group.index_of(s) for s in seeds}
-    )
-    for s in seed_indices:
-        if not 0 <= s < group.order:
-            raise NotAMember("seed index out of range")
-
-    kept, members = [], {0}
-    for s in seed_indices:
-        if s not in members:
-            kept.append(s)
-            members = set(_closure(0, kept, group.product_index, group.order)[0])
-    return SubgroupHandle(group, _mask(members))
+    """The subgroup generated by the elements of the given indices; at
+    most log2 |G| closures are run."""
+    seeds = sorted(set(seeds))
+    if not all(0 <= s < group.order for s in seeds):
+        raise NotAMember("seed index out of range")
+    return SubgroupHandle(group, _mask(_grow(group, seeds, group.order)[1]))
 
 
 def orbits(points: int, moves) -> tuple[tuple[int, ...], ...]:
@@ -468,15 +479,13 @@ def orbits(points: int, moves) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def is_normal(group: FiniteMatrixGroup, subgroup: SubgroupHandle) -> bool:
-    """Whether the subgroup is normal: conjugation by each group
-    generator maps its mask to itself."""
-    if subgroup.parent is not group:
-        raise ValueError("subgroup belongs to a different group")
+def is_normal(subgroup: SubgroupHandle) -> bool:
+    """Whether the subgroup is normal in its group: conjugation by each
+    of the group's generators maps its mask to itself."""
     members = subgroup.indices()
     return all(
         _mask([conj[h] for h in members]) == subgroup.mask
-        for conj in group.conjugations()
+        for conj in subgroup.parent.conjugations()
     )
 
 

@@ -60,7 +60,7 @@ def reflection_subgroup(group: FiniteMatrixGroup) -> SubgroupHandle:
     sub = generated_subgroup(group, census(group).symplectic_reflections)
     # conjugation preserves fixed-space codimension, so the generating
     # set is closed under conjugation and the subgroup is normal
-    if not is_normal(group, sub):
+    if not is_normal(sub):
         raise InvariantViolation("the reflection subgroup is not normal")
     return sub
 
@@ -109,17 +109,16 @@ def complex_reflections_generate(group: FiniteMatrixGroup) -> bool:
     return generated_subgroup(group, census(group).complex_reflections).is_whole_group
 
 
-def z_locus_min_codim(group: FiniteMatrixGroup, subgroup: SubgroupHandle) -> int:
-    """Minimal fixed-space codimension over elements outside the
-    subgroup.
+def z_locus_min_codim(subgroup: SubgroupHandle) -> int:
+    """Minimal fixed-space codimension over the elements of the
+    subgroup's group outside it.
 
     When the subgroup is everything there are no such elements and the
     sentinel dimension + 1 is returned.  For the reflection subgroup
     the result is at least 4: codimensions are even, and anything of
     codimension 2 would be a reflection and hence inside.
     """
-    if subgroup.parent is not group:
-        raise ValueError("subgroup belongs to a different group")
+    group = subgroup.parent
     if subgroup.is_whole_group:
         return group.dimension + 1
     dims = group.fixed_dimensions()

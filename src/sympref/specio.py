@@ -300,7 +300,7 @@ def analyze(group: FiniteMatrixGroup, with_strata: bool = False) -> AnalysisRepo
         g0_index=v.reflection_subgroup_index,
         verdict=v.kind,
         dim2_duval_note=v.duval_note,
-        z_min_codim=z_locus_min_codim(group, sub),
+        z_min_codim=z_locus_min_codim(sub),
         strata=strata,
     )
 

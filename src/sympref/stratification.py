@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cyclotomic import BadInput
-from .groups import FiniteMatrixGroup, _closure, _mask, orbits
+from .groups import FiniteMatrixGroup, _closure, _grow, _mask, orbits
 from .jsonin import load_json, quote, refuse_unknown_keys
 from .linalg import ExactMatrix, Subspace, fixed_space
 
@@ -252,19 +252,13 @@ def _stabilizer_moves(group, walk, act, atoms):
     for p, k in parents[1:]:
         u.append(group.product_index(conjugations[k][u[p]], gen_index[k]))
         v.append(group.product_index(v[p], gen_inverse[k]))
-    target = group.order // len(members)
-    kept, generated = [], {0}
-    edges = ((i, k) for i in range(len(members)) for k in range(len(act)))
-    for i, k in edges:
-        if len(generated) == target:
-            break
-        j = tables[k][i]
-        if parents[j] == (i, k):
-            continue  # an edge of the walk's tree
-        x = group.product_index(group.product_index(v[j], gen_index[k]), u[i])
-        if x not in generated:
-            kept.append(x)
-            generated = set(_closure(0, kept, group.product_index, target)[0])
+    schreier = (
+        group.product_index(group.product_index(v[table[i]], gen_index[k]), u[i])
+        for i in range(len(members))
+        for k, table in enumerate(tables)
+        if parents[table[i]] != (i, k)  # not an edge of the walk's tree
+    )
+    kept = _grow(group, schreier, group.order // len(members))[0]
     perms = []
     for x in kept:
         perm = list(range(atoms))

@@ -188,7 +188,7 @@ def test_criterion_03_group_orders_and_icosahedral_oracle():
         quats = icosian_group()
         assert len(quats) == 120
         matrix_orders = Counter(
-            element_order(icosa, g) for g in icosa.elements
+            element_order(icosa, i) for i in range(icosa.order)
         )
         oracle_orders = Counter(quat_order(q) for q in quats)
         assert matrix_orders == oracle_orders
@@ -233,7 +233,7 @@ def test_criterion_06_z_locus_codimension_bound():
         for group in fixtures:
             sub = reflection_subgroup(group)
             assert not sub.is_whole_group
-            assert z_locus_min_codim(group, sub) >= 4
+            assert z_locus_min_codim(sub) >= 4
 
 
 def test_criterion_07_semismallness_fixture():
@@ -251,7 +251,7 @@ def test_criterion_08_normality_and_lagrange():
         for entry in CATALOG:
             group = entry.build()
             sub = reflection_subgroup(group)
-            assert is_normal(group, sub), entry.name
+            assert is_normal(sub), entry.name
             assert group.order % sub.order == 0, entry.name
             index = verdict(group, sub).reflection_subgroup_index
             assert sub.order * index == group.order, entry.name

@@ -483,6 +483,7 @@ DEFERRED = {
     "cli": [
         "parse_group_spec", "report_to_json", "report_to_text",
         "serialize_group_spec", "double", "build_lattice", "get_entry",
+        "symplectic_eigenvalues",
     ],
     "specio": ["build_lattice"],
 }

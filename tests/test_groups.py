@@ -20,6 +20,7 @@ from sympref.groups import (
     OrderBoundExceeded,
     SingularGenerator,
     SubgroupHandle,
+    _grow,
     conjugacy_classes,
     element_order,
     generated_subgroup,
@@ -284,7 +285,7 @@ def test_membership_and_indexing():
     g = s3_group()
     three_cycle = perm_matrix([1, 2, 0])
     assert g.is_member(three_cycle)
-    assert element_order(g, three_cycle) == 3
+    assert element_order(g, g.index_of(three_cycle)) == 3
     assert not g.is_member(ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(NotAMember):
         g.index_of(ExactMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
@@ -384,28 +385,46 @@ def test_subgroup_masks_match_a_brute_force_closure(name):
         assert h.is_whole_group == (len(members) == g.order)
 
 
+def test_growth_draws_no_candidate_once_the_target_is_met():
+    # the lattice passes its Schreier generators lazily: each one drawn
+    # costs two products, so none is made once the stabilizer is reached
+    g = s3_group()
+    drawn = []
+
+    def candidates():
+        for x in range(1, g.order):
+            drawn.append(x)
+            yield x
+
+    kept, members = _grow(g, candidates(), g.order)
+    assert members == set(range(g.order))
+    assert drawn[-1] == kept[-1] < g.order - 1
+    drawn.clear()
+    assert _grow(g, candidates(), 1) == ([], {0})
+    assert drawn == []
+
+
 def test_a_subgroup_mask_stays_inside_the_group():
     g = s3_group()
     assert SubgroupHandle(g, (1 << g.order) - 1).is_whole_group
     for mask in (1 << g.order, -1):
         with pytest.raises(ValueError, match="outside the group"):
             SubgroupHandle(g, mask)
-
-
-def test_generated_subgroup_accepts_matrices():
-    g = s3_group()
-    h = generated_subgroup(g, [perm_matrix([1, 0, 2])])
-    assert h.order == 2
+    # a subgroup holds the identity, element 0, so a verdict never
+    # divides by an order of 0 or reads a subset that is no subgroup
+    for mask in (0, 0b10):
+        with pytest.raises(ValueError, match="identity"):
+            SubgroupHandle(g, mask)
 
 
 def test_normality():
     g = s3_group()
     h3 = generated_subgroup(g, [g.index_of(perm_matrix([1, 2, 0]))])
     h2 = generated_subgroup(g, [g.index_of(perm_matrix([1, 0, 2]))])
-    assert is_normal(g, h3)
-    assert not is_normal(g, h2)
-    assert is_normal(g, generated_subgroup(g, []))
-    assert is_normal(g, generated_subgroup(g, list(range(g.order))))
+    assert is_normal(h3)
+    assert not is_normal(h2)
+    assert is_normal(generated_subgroup(g, []))
+    assert is_normal(generated_subgroup(g, list(range(g.order))))
 
 
 def test_conjugacy_classes_partition_the_group():
