@@ -213,10 +213,8 @@ def build_parser() -> _Parser:
         "analyze", help="decide whether symplectic reflections generate"
     )
     p.add_argument("spec", help="group specification JSON file")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON report")
-    fmt.add_argument(
-        "--text", action="store_true", help="text report (default)"
+    p.add_argument(
+        "--json", action="store_true", help="JSON report (default: text)"
     )
     p.add_argument(
         "--strata", action="store_true", help="include the stratum orbits"

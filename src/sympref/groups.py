@@ -123,22 +123,6 @@ def _checked_trace(t: CyclotomicNumber, n: int, bound: int) -> CyclotomicNumber:
     )
 
 
-def _form_error(dimension, conductor, omega, generators):
-    """What the checks of omega and of the generators against it raise,
-    or None when omega is a nondegenerate form every generator keeps."""
-    try:
-        if omega.rows != dimension:
-            raise DimensionMismatch("form has wrong dimension")
-        _same_conductor(omega.conductor, conductor)
-        check_form(omega)
-        for i, g in enumerate(generators):
-            if not is_symplectic(g, omega):
-                raise NotSymplectic(i)
-    except BadInput as error:
-        return error
-    return None
-
-
 class FiniteMatrixGroup:
     """A finite group of exact matrices, fully enumerated.
 
@@ -182,11 +166,14 @@ class FiniteMatrixGroup:
         generators,
         max_order: int = DEFAULT_MAX_ORDER,
     ) -> "FiniteMatrixGroup":
+        """Enumerate the group the generators make, after checking the
+        input in this order: each generator in turn for its shape and
+        its conductor and, without a form, its rank (SingularGenerator);
+        then, with a form, the form's dimension and conductor,
+        check_form, and each generator in turn with is_symplectic
+        (NotSymplectic).  Under a form no generator is ranked, because
+        g^T omega g = omega with omega nondegenerate gives det g = +-1."""
         gens = list(generators)
-        # g^T omega g = omega with omega nondegenerate gives det g = +-1,
-        # so generators are ranked only without a form or when its checks
-        # fail, and a singular generator is then reported before them
-        error = omega is not None and _form_error(dimension, conductor, omega, gens)
         for i, g in enumerate(gens):
             if g.rows != dimension or g.cols != dimension:
                 raise DimensionMismatch(
@@ -194,10 +181,16 @@ class FiniteMatrixGroup:
                     % (i, g.rows, g.cols, dimension, dimension)
                 )
             _same_conductor(g.conductor, conductor)
-            if (omega is None or error) and g.rank() < dimension:
+            if omega is None and g.rank() < dimension:
                 raise SingularGenerator(i)
-        if error:
-            raise error
+        if omega is not None:
+            if omega.rows != dimension:
+                raise DimensionMismatch("form has wrong dimension")
+            _same_conductor(omega.conductor, conductor)
+            check_form(omega)
+            for i, g in enumerate(gens):
+                if not is_symplectic(g, omega):
+                    raise NotSymplectic(i)
 
         n = dimension
         identity = ExactMatrix.identity(n, conductor)
@@ -261,13 +254,6 @@ class FiniteMatrixGroup:
     def elements(self) -> tuple[ExactMatrix, ...]:
         """Every element's matrix, in index order, built on each read."""
         return tuple(map(self.element, range(self.order)))
-
-    def is_member(self, mat: ExactMatrix) -> bool:
-        try:
-            self.index_of(mat)
-        except NotAMember:
-            return False
-        return True
 
     def index_of(self, mat: ExactMatrix) -> int:
         if mat.rows != self.dimension or mat.cols != self.dimension:

@@ -192,19 +192,6 @@ class ExactMatrix:
             self.entries[:: self.cols + 1], self.conductor
         )
 
-    def is_identity(self) -> bool:
-        # equality compares shapes first
-        return self == ExactMatrix.identity(self.rows, self.conductor)
-
-    def is_antisymmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(i, self.cols):
-                if self.entry(i, j) != -self.entry(j, i):
-                    return False
-        return True
-
     def rank(self) -> int:
         if self._rank is None:  # kept, so a form checked twice is ranked once
             self._rank = len(_row_reduce(self.row_lists()))
@@ -475,7 +462,7 @@ def check_form(omega: ExactMatrix) -> None:
         raise BadForm("form matrix must be square")
     if omega.rows % 2:
         raise BadForm("antisymmetric forms on odd-dimensional spaces are degenerate")
-    if not omega.is_antisymmetric():
+    if omega.transpose() != -omega:
         raise BadForm("form matrix is not antisymmetric")
     if omega.rank() < omega.rows:
         raise BadForm("form matrix is degenerate")

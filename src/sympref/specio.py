@@ -15,6 +15,10 @@ where matrix entries are exact scalars: an integer, a rational string
 conductor divides the document conductor (defaulting to it).  Floats
 are rejected; this file format carries exact data only.
 
+The parser resolves "standard" to `standard_symplectic_form(dimension,
+conductor)`, so a parsed document's form is a matrix or None; the
+serializer alone writes "standard" back, for a form equal to that one.
+
 Reports are emitted with a fixed key order so that equal analyses are
 byte-identical.
 """
@@ -68,13 +72,8 @@ class GroupSpecDocument(NamedTuple):
     name: str
     dimension: int
     conductor: int
-    symplectic_form: object  # "standard", an ExactMatrix, or None
+    symplectic_form: ExactMatrix | None  # "standard" resolved by the parser
     generators: tuple[ExactMatrix, ...]
-
-    def omega(self) -> ExactMatrix | None:
-        if self.symplectic_form == "standard":
-            return standard_symplectic_form(self.dimension, self.conductor)
-        return self.symplectic_form
 
 
 def _fail(path, message):
@@ -183,14 +182,16 @@ def parse_group_spec(document) -> GroupSpecDocument:
         )
 
     form = document.get("symplectic_form")
-    if form is not None and form != "standard":
+    if form == "standard":
+        if dimension % 2:
+            _fail("symplectic_form", "standard form needs even dimension")
+        form = standard_symplectic_form(dimension, conductor)
+    elif form is not None:
         form = _parse_matrix(form, dimension, conductor, "symplectic_form")
         try:
             check_form(form)
         except BadForm as exc:
             _fail("symplectic_form", str(exc))
-    elif form == "standard" and dimension % 2:
-        _fail("symplectic_form", "standard form needs even dimension")
 
     generators = tuple(
         _parse_matrix(g, dimension, conductor, "generators[%d]" % i)
@@ -221,8 +222,9 @@ def _matrix_to_json(mat: ExactMatrix):
 
 def serialize_group_spec(doc: GroupSpecDocument) -> str:
     form = doc.symplectic_form
-    if isinstance(form, ExactMatrix):
-        form = _matrix_to_json(form)
+    if form is not None:
+        standard = form == standard_symplectic_form(doc.dimension, doc.conductor)
+        form = "standard" if standard else _matrix_to_json(form)
     payload = {
         "name": doc.name,
         "dimension": doc.dimension,
@@ -234,16 +236,11 @@ def serialize_group_spec(doc: GroupSpecDocument) -> str:
 
 
 def spec_from_group(name: str, group: FiniteMatrixGroup) -> GroupSpecDocument:
-    form = group.omega
-    if form is not None and form == standard_symplectic_form(
-        group.dimension, group.conductor
-    ):
-        form = "standard"
     return GroupSpecDocument(
         name=name,
         dimension=group.dimension,
         conductor=group.conductor,
-        symplectic_form=form,
+        symplectic_form=group.omega,
         generators=group.generators,
     )
 
@@ -253,7 +250,7 @@ def make_group(
 ) -> FiniteMatrixGroup:
     """Enumerate the group a specification describes."""
     return FiniteMatrixGroup.closure(
-        doc.dimension, doc.conductor, doc.omega(), doc.generators, max_order
+        doc.dimension, doc.conductor, doc.symplectic_form, doc.generators, max_order
     )
 
 

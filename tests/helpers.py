@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from sympref.cyclotomic import CyclotomicNumber
-from sympref.groups import FiniteMatrixGroup
+from sympref.groups import FiniteMatrixGroup, NotAMember
 from sympref.linalg import ExactMatrix, standard_symplectic_form
 
 
@@ -20,6 +20,19 @@ def diagonal(*values):
     return ExactMatrix.from_rows(
         [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
     )
+
+
+def is_identity(mat):
+    # equality compares shapes first
+    return mat == ExactMatrix.identity(mat.rows, mat.conductor)
+
+
+def is_member(group, mat):
+    try:
+        group.index_of(mat)
+    except NotAMember:
+        return False
+    return True
 
 
 def s3_group():
@@ -42,6 +55,51 @@ def block_swap_group():
     return FiniteMatrixGroup.closure(
         4, 1, standard_symplectic_form(4), [perm_matrix([2, 3, 0, 1])]
     )
+
+
+# ---------------------------------------------------------------------------
+# a planar group Gamma in SL(2) and S_n on (C^2)^n, with the standard form
+# (one 2x2 block per plane, so plane permutations keep it)
+
+def _on_planes(blocks, images, conductor):
+    """The matrix taking plane p to plane images[p] by blocks[p]."""
+    n = 2 * len(images)
+    rows = [[0] * n for _ in range(n)]
+    for p, (h, q) in enumerate(zip(blocks, images)):
+        for i in range(2):
+            for j in range(2):
+                rows[2 * q + i][2 * p + j] = h.entry(i, j)
+    return ExactMatrix.from_rows(rows, conductor)
+
+
+def _with_plane_swaps(gamma, n, gamma_gens):
+    # S_n by the swap of planes 0, 1 and the cycle of all n planes
+    one = ExactMatrix.identity(2, gamma.conductor)
+    swaps = [[1, 0, *range(2, n)], [*range(1, n), 0]]
+    gens = gamma_gens + [_on_planes([one] * n, s, gamma.conductor) for s in swaps]
+    return FiniteMatrixGroup.closure(
+        2 * n, gamma.conductor,
+        standard_symplectic_form(2 * n, gamma.conductor), gens,
+    )
+
+
+def sl2_times_symmetric(gamma, n):
+    """Gamma x S_n: Gamma acts on every plane at once, S_n permutes them."""
+    diagonal_gens = [
+        _on_planes([h] * n, range(n), gamma.conductor) for h in gamma.generators
+    ]
+    return _with_plane_swaps(gamma, n, diagonal_gens)
+
+
+def sl2_wreath_symmetric(gamma, n):
+    """Gamma wr S_n: Gamma acts on the first plane alone, S_n permutes
+    the planes."""
+    one = ExactMatrix.identity(2, gamma.conductor)
+    first_gens = [
+        _on_planes([h] + [one] * (n - 1), range(n), gamma.conductor)
+        for h in gamma.generators
+    ]
+    return _with_plane_swaps(gamma, n, first_gens)
 
 
 # ---------------------------------------------------------------------------

@@ -284,11 +284,11 @@ def test_analyze_infinite_group_is_one_error_line(tmp_path, capsys):
 
 
 GENERATOR_ERRORS = {
-    # a form proves a generator invertible only when every generator
-    # preserves it; otherwise the ranks decide, in generator order
+    # under a form no generator is ranked, and the first generator that
+    # does not preserve it is reported
     "singular-after-non-symplectic": (
         "analyze", "standard", [[[2, 0], [0, 1]], [[1, 0], [0, 0]]],
-        "error: generator 1 is singular\n",
+        "error: generator 0 does not preserve the symplectic form\n",
     ),
     "non-symplectic": (
         "analyze", "standard", [[[0, 1], [-1, 0]], [[2, 0], [0, 1]]],
@@ -807,6 +807,8 @@ def test_module_entry_point_runs():
          "argument --max-order: 0 is not a positive integer"),
         (["analyze", "x.json", "--max-order", "-3"], "sympref analyze",
          "argument --max-order: -3 is not a positive integer"),
+        (["analyze", "x.json", "--text"], "sympref",
+         "unrecognized arguments: --text"),
     ],
 )
 def test_usage_errors_are_bad_input_not_the_order_bound(argv, usage, message):

@@ -20,6 +20,8 @@ from sympref.linalg import (
     standard_symplectic_form,
 )
 
+from helpers import is_identity, is_member
+
 Cyc = CyclotomicNumber
 
 
@@ -373,15 +375,15 @@ def test_trace_adds_the_diagonal_coefficient_wise_in_one_construction(monkeypatc
 
 
 def test_is_identity():
-    assert ExactMatrix.identity(3).is_identity()
-    assert ExactMatrix.identity(2, 5).is_identity()
-    assert ExactMatrix.identity(0).is_identity()
-    assert not ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0]]).is_identity()
-    assert not ExactMatrix.from_rows([[1], [0]]).is_identity()
-    assert not ExactMatrix.from_rows([[1, 0], [0, 2]]).is_identity()
-    assert not ExactMatrix.from_rows([[1, 1], [0, 1]]).is_identity()
-    assert not ExactMatrix.from_rows([[Cyc.zeta(3), 0], [0, 1]]).is_identity()
-    assert not ExactMatrix.zero(2, 2).is_identity()
+    assert is_identity(ExactMatrix.identity(3))
+    assert is_identity(ExactMatrix.identity(2, 5))
+    assert is_identity(ExactMatrix.identity(0))
+    assert not is_identity(ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+    assert not is_identity(ExactMatrix.from_rows([[1], [0]]))
+    assert not is_identity(ExactMatrix.from_rows([[1, 0], [0, 2]]))
+    assert not is_identity(ExactMatrix.from_rows([[1, 1], [0, 1]]))
+    assert not is_identity(ExactMatrix.from_rows([[Cyc.zeta(3), 0], [0, 1]]))
+    assert not is_identity(ExactMatrix.zero(2, 2))
 
 
 def test_matrix_equality_across_conductors():
@@ -424,7 +426,7 @@ def test_mixed_conductor_operands_raise():
             [ExactMatrix.from_rows(quarter_turn, 12)],
         ),
         lambda: group.index_of(b),
-        lambda: group.is_member(b),
+        lambda: is_member(group, b),
     ):
         with pytest.raises(ConductorMismatch):
             operation()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sympref import reflections
@@ -28,7 +30,14 @@ from sympref.reflections import (
 )
 from sympref.stratification import build_lattice
 
-from helpers import block_swap_group, diagonal, perm_matrix, quaternion_group
+from helpers import (
+    block_swap_group,
+    diagonal,
+    perm_matrix,
+    quaternion_group,
+    sl2_times_symmetric,
+    sl2_wreath_symmetric,
+)
 
 Cyc = CyclotomicNumber
 
@@ -214,6 +223,44 @@ def test_z_locus_for_proper_reflection_subgroups_is_at_least_four():
         z = z_locus_min_codim(sub)
         assert z >= 4
         assert z % 2 == 0
+
+
+OBSTRUCTED_AT_SCALE = {
+    # name: (Gamma's kind and parameter, n, wreath product or direct)
+    "BD12xS3": (("binary_dihedral", 3), 3, False),
+    "BTxS3": (("binary_tetrahedral",), 3, False),
+    "BTxS4": (("binary_tetrahedral",), 4, False),
+    "BOxS3": (("binary_octahedral",), 3, False),
+    "BTwrS2": (("binary_tetrahedral",), 2, True),
+    "BD12wrS3": (("binary_dihedral", 3), 3, True),
+}
+
+
+@pytest.mark.parametrize("case", OBSTRUCTED_AT_SCALE.values(), ids=OBSTRUCTED_AT_SCALE)
+def test_planar_group_and_plane_swaps_meet_their_closed_forms(case):
+    # Gamma x S_n (Gamma on every plane at once): its only symplectic
+    # reflections are the plane transpositions, so G0 = S_n and the
+    # index is |Gamma|; -1 times floor(n/2) disjoint swaps fixes the
+    # least.  Gamma wr S_n, which has a symplectic resolution (Hilb^n of
+    # the minimal resolution of C^2/Gamma), is generated by its
+    # n(|Gamma| - 1) reflections in one plane and |Gamma| per
+    # transposition.
+    kind, n, wreath = case
+    gamma = build_sl2_subgroup(*kind)
+    build = sl2_wreath_symmetric if wreath else sl2_times_symmetric
+    g = build(gamma, n)
+    k, swaps = gamma.order, n * (n - 1) // 2
+    sub = reflection_subgroup(g)
+    v = verdict(g, sub)
+    if wreath:
+        assert g.order == k**n * math.factorial(n)
+        assert len(census(g).symplectic_reflections) == n * (k - 1) + k * swaps
+        assert v.reflection_subgroup_index == 1 and v.kind == VERDICT_HOLDS
+    else:
+        assert g.order == k * math.factorial(n)
+        assert len(census(g).symplectic_reflections) == swaps
+        assert v.reflection_subgroup_index == k and v.kind == VERDICT_OBSTRUCTED
+        assert z_locus_min_codim(sub) == 2 * -(-n // 2)
 
 
 def test_complex_reflection_census_and_smoothness():

@@ -139,7 +139,7 @@ def test_every_catalog_entry_round_trips_bit_exactly():
 
 def test_standard_form_round_trips_as_the_string():
     doc = parse_group_spec(json.dumps(negation_spec_dict()))
-    assert doc.symplectic_form == "standard"
+    assert doc.symplectic_form == standard_symplectic_form(4)
     assert json.loads(serialize_group_spec(doc))["symplectic_form"] == "standard"
 
 
