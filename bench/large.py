@@ -40,14 +40,17 @@ ROOT = HERE.parent
 SPECS = HERE / "specs"
 
 # sha256 of `analyze --json --strata` stdout, as made at 7ef1bd1 (the
-# F4, B5 and E6 hashes are also in ROADMAP.md); the report is fixed by the
-# group alone, so every later tree must give the same bytes
+# F4, B5 and E6 hashes are also in ROADMAP.md) and, for the two planar
+# cases, at 2fc98c1; the report is fixed by the group alone, so every
+# later tree must give the same bytes
 REFERENCE = {
     "symmetric_on_planes_5": "d36305a6e0e7807b96f27550573179498e663b97af23c5c516f374e49e83102a",
     "weyl_f4_doubled": "48874440a82b0b63c83979154f5109edc1c18dec25a2418619177aa5e1978e17",
     "imprimitive_4_1_4_doubled": "f0e9dfa4876a939e9048ac38dffab62bb5bf945e64a27db4d43f27f1b04f779e",
     "weyl_b5_doubled": "f68debeafd5ec51664a3b28739d13352a36353484c87314ee9d3eca09a046c5c",
     "weyl_e6_doubled": "b20a7ba55b5c440fd2eea385d4464745134598a37aed6417702432b0c51030e8",
+    "sl2_binary_icosahedral_times_s5": "fa960ae19b6a2e100cab023f669edb4f2e2fade4c09d364513ffff1f60e90d8e",
+    "sl2_binary_dihedral_3_wreath_s3": "d04924b1c0a00afb84ced0ff7710115b5d4f0bf61f134d56295bdcdb1e312c92",
 }
 E6 = "weyl_e6_doubled"
 
@@ -151,7 +154,7 @@ def main(argv=None) -> int:
             results.append(run_case(name, env, workdir, ref_code))
             r = results[-1]
             print(
-                "%-26s %6.2f s  %7.1f ref  %6.1f MB  lattice %7.3f s  %s"
+                "%-31s %6.2f s  %7.1f ref  %6.1f MB  lattice %7.3f s  %s"
                 % (name, r["wall_s"], r["wall_rel"], r["peak_rss_mb"],
                    r["lattice_s"], "sha256 ok" if r["sha256_ok"] else "SHA256 DIFFERS"),
                 flush=True,

@@ -201,7 +201,8 @@ def _su2_matrix(a, b, c, d, conductor):
              Cyc.rational(c, conductor) + Cyc.rational(d, conductor) * i],
             [Cyc.rational(-c, conductor) + Cyc.rational(d, conductor) * i,
              Cyc.rational(a, conductor) - Cyc.rational(b, conductor) * i],
-        ]
+        ],
+        conductor,
     )
 
 
@@ -224,7 +225,7 @@ def build_sl2_subgroup(kind: str, k: int | None = None) -> FiniteMatrixGroup:
             raise ParameterOutOfRange("binary dihedral needs k >= 2")
         conductor = math.lcm(2 * k, 4)
         _refuse_oversized(_sl2_order(kind, k), conductor)
-        z = Cyc.zeta(2 * k)
+        z = Cyc.zeta(2 * k).promote(conductor)
         gens = [
             ExactMatrix.from_rows([[z, 0], [0, z ** (2 * k - 1)]], conductor),
             ExactMatrix.from_rows([[0, 1], [-1, 0]], conductor),

@@ -194,8 +194,10 @@ class FiniteMatrixGroup:
 
         n = dimension
         identity = ExactMatrix.identity(n, conductor)
-        # the distinct generators other than the identity
-        distinct = list({m.key(): m for m in [identity, *gens]}.values())[1:]
+        # the distinct generators other than the identity, compared by their
+        # coefficients (canonical at one conductor), so none caches a key
+        distinct = list({tuple(e.coeffs for e in m.entries): m
+                         for m in [identity, *gens]}.values())[1:]
         # points[a] is a 1 x n row of Omega, where[key] its position, and
         # moves[k][a] the position of points[a] * distinct[k]
         points = [ExactMatrix(1, n, conductor, identity.row(i)) for i in range(n)]

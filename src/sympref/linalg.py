@@ -1,11 +1,11 @@
 """Exact linear algebra over cyclotomic fields.
 
 Matrices are dense and immutable, with entries in a single Q(zeta_m).
-Conductors are reconciled only where scalars become matrices: at
-parsing and in `ExactMatrix.from_rows` (the lcm of its entries).  Any
-other mixed operand raises `ConductorMismatch`, in groups too.
-Matrices compare entrywise, across conductors as scalars do; subspaces
-of different conductors are unequal.
+Conductors are reconciled in one place, parsing (`specio._parse_scalar`).
+Every matrix and subspace constructor takes a declared conductor: an
+int or a Fraction is lifted to it, and any other mixed operand raises
+`ConductorMismatch`, in groups too.  Matrices compare entrywise, across
+conductors as scalars do; subspaces of different conductors are unequal.
 
 Elimination uses the first nonzero entry in a column as the pivot; over
 an exact field any nonzero pivot is as good as any other, and the fixed
@@ -21,8 +21,6 @@ against an echelon basis as `join_dim`.
 """
 
 from __future__ import annotations
-
-import math
 
 from .cyclotomic import (
     BadInput, CyclotomicNumber, _mul_add, _number, _reduce, _same_conductor,
@@ -68,23 +66,14 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, row_lists, conductor: int = 1) -> "ExactMatrix":
-        """Build from nested lists; entries may be ints, Fractions, or
-        cyclotomic values, all promoted to one common conductor."""
+        """Build from nested lists of ints, Fractions, or cyclotomic
+        values already at `conductor`; ints and Fractions are lifted."""
         rows = len(row_lists)
         cols = len(row_lists[0]) if rows else 0
-        target = conductor
-        for row in row_lists:
-            if len(row) != cols:
-                raise DimensionMismatch("ragged rows")
-            for v in row:
-                if isinstance(v, CyclotomicNumber):
-                    target = math.lcm(target, v.conductor)
-        entries = [
-            v.promote(target) if isinstance(v, CyclotomicNumber)
-            else _coerce_entry(v, target)
-            for row in row_lists for v in row
-        ]
-        return cls(rows, cols, target, entries)
+        if any(len(row) != cols for row in row_lists):
+            raise DimensionMismatch("ragged rows")
+        entries = [_coerce_entry(v, conductor) for row in row_lists for v in row]
+        return cls(rows, cols, conductor, entries)
 
     @classmethod
     def identity(cls, n: int, conductor: int = 1) -> "ExactMatrix":

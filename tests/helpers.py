@@ -45,7 +45,7 @@ def quaternion_group():
     i = CyclotomicNumber.zeta(4)
     return FiniteMatrixGroup.closure(
         2, 4, standard_symplectic_form(2, 4),
-        [ExactMatrix.from_rows([[i, 0], [0, -i]]),
+        [ExactMatrix.from_rows([[i, 0], [0, -i]], 4),
          ExactMatrix.from_rows([[0, 1], [-1, 0]], 4)],
     )
 

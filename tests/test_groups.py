@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -349,6 +350,49 @@ def test_powers_are_the_cyclic_subgroup():
 )
 def test_weyl_group_class_counts(family, rank, classes):
     assert len(conjugacy_classes(build_weyl(family, rank))) == classes
+
+
+def partitions(n, largest=None):
+    """Every partition of n, as a tuple of parts in decreasing order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def symmetric_on_planes_codims(n):
+    # a permutation of cycle type lambda fixes one plane per cycle
+    return [2 * (n - len(lam)) for lam in partitions(n)]
+
+
+def doubled_b_codims(n):
+    # a signed permutation's class is a pair (alpha, beta) of partitions
+    # of its positive and negative cycles; each positive cycle fixes a
+    # line of C^n, and doubling doubles the codimension
+    return [
+        2 * (n - len(alpha))
+        for k in range(n + 1)
+        for alpha in partitions(k)
+        for _ in partitions(n - k)
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, n", [("planes", n) for n in range(2, 6)] + [("B", n) for n in range(2, 5)]
+)
+def test_class_counts_per_codimension_match_the_betti_numbers(family, n):
+    # these quotients have symplectic resolutions, whose Betti number
+    # b_2i counts the conjugacy classes of fixed-space codimension 2i
+    # (Batyrev 1999; Kaledin 2002); the closed forms count partitions
+    if family == "planes":
+        group, codims = build_symmetric_on_squares(n), symmetric_on_planes_codims(n)
+    else:
+        group, codims = build_weyl_doubled(family, n), doubled_b_codims(n)
+    dims = group.fixed_dimensions()
+    counted = Counter(group.dimension - dims[c[0]] for c in conjugacy_classes(group))
+    assert counted == Counter(codims)
 
 
 def test_generated_subgroup_and_lagrange():

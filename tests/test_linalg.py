@@ -48,10 +48,16 @@ def test_identity_and_shapes():
         a * ExactMatrix.identity(2)
 
 
-def test_mixed_conductor_entries_promote():
+def test_from_rows_takes_its_conductor_as_given():
+    # only parsing changes a scalar's conductor; from_rows lifts ints and
+    # Fractions and refuses a cyclotomic entry at any other conductor
     i = Cyc.zeta(4)
     w = Cyc.zeta(3)
-    a = ExactMatrix.from_rows([[i, 0], [0, w]])
+    with pytest.raises(ConductorMismatch):
+        ExactMatrix.from_rows([[i, 0], [0, w]], 12)
+    with pytest.raises(ConductorMismatch):
+        ExactMatrix.from_rows([[i, 0], [0, 1]])
+    a = ExactMatrix.from_rows([[i.promote(12), 0], [0, w.promote(12)]], 12)
     assert a.conductor == 12
     assert a.entry(0, 0) == i
     assert a.entry(1, 1) == w
@@ -61,8 +67,8 @@ def test_inverse_frozen_values():
     a = ExactMatrix.from_rows([[1, 1], [0, 1]])
     assert a.inverse() == ExactMatrix.from_rows([[1, -1], [0, 1]])
     i = Cyc.zeta(4)
-    d = ExactMatrix.from_rows([[i, 0], [0, 1]])
-    assert d.inverse() == ExactMatrix.from_rows([[-i, 0], [0, 1]])
+    d = ExactMatrix.from_rows([[i, 0], [0, 1]], 4)
+    assert d.inverse() == ExactMatrix.from_rows([[-i, 0], [0, 1]], 4)
 
 
 def test_inverse_of_singular_matrix_raises():
@@ -382,7 +388,7 @@ def test_is_identity():
     assert not is_identity(ExactMatrix.from_rows([[1], [0]]))
     assert not is_identity(ExactMatrix.from_rows([[1, 0], [0, 2]]))
     assert not is_identity(ExactMatrix.from_rows([[1, 1], [0, 1]]))
-    assert not is_identity(ExactMatrix.from_rows([[Cyc.zeta(3), 0], [0, 1]]))
+    assert not is_identity(ExactMatrix.from_rows([[Cyc.zeta(3), 0], [0, 1]], 3))
     assert not is_identity(ExactMatrix.zero(2, 2))
 
 
@@ -394,9 +400,8 @@ def test_matrix_equality_across_conductors():
 
 
 def test_mixed_conductor_operands_raise():
-    # conductors are reconciled where scalars become matrices (parsing,
-    # from_rows); past that, mixing them is a caller's error, in group
-    # closure and membership too
+    # conductors are reconciled only at parsing; past that, mixing them
+    # is a caller's error, in from_rows, group closure and membership too
     a, b = ExactMatrix.identity(2, 4), ExactMatrix.identity(2, 3)
     s, t = Subspace.full(2, 4), Subspace.from_spanning(2, [[1, 0]], 3)
     w = Cyc.zeta(3)
@@ -418,6 +423,7 @@ def test_mixed_conductor_operands_raise():
         lambda: s.intersect(t),
         lambda: s.contains_vector([w, 0]),
         lambda: Subspace.from_spanning(2, [[w, 0]], 4),
+        lambda: ExactMatrix.from_rows([[w, 0], [0, 1]], 4),
         lambda: FiniteMatrixGroup.closure(
             2, 4, None, [ExactMatrix.from_rows(quarter_turn)]
         ),
@@ -434,5 +440,5 @@ def test_mixed_conductor_operands_raise():
     # when their bases agree entrywise
     assert Subspace.full(2, 4) != Subspace.full(2, 3)
     assert a.scale(Cyc.zeta(4)) == ExactMatrix.from_rows(
-        [[Cyc.zeta(4), 0], [0, Cyc.zeta(4)]]
+        [[Cyc.zeta(4), 0], [0, Cyc.zeta(4)]], 4
     )

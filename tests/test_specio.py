@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ from sympref.linalg import ExactMatrix, pairing_form, standard_symplectic_form
 from sympref.reflections import VERDICT_HOLDS, VERDICT_OBSTRUCTED, double
 from sympref.groups import FiniteMatrixGroup
 from sympref.specio import (
+    MAX_CONDUCTOR,
+    MAX_DIMENSION,
+    MAX_GENERATORS,
     AnalysisReport,
     ParseError,
     ValidationError,
@@ -141,6 +145,30 @@ def test_standard_form_round_trips_as_the_string():
     doc = parse_group_spec(json.dumps(negation_spec_dict()))
     assert doc.symplectic_form == standard_symplectic_form(4)
     assert json.loads(serialize_group_spec(doc))["symplectic_form"] == "standard"
+
+
+def test_repeated_generators_at_the_bounds_allocate_little():
+    # the largest dimension and conductor a spec may declare, with the
+    # identity given as every one of the 32 generators: about 100 KB of
+    # input and a trivial group, so parse and closure must stay small;
+    # a hashable key per coefficient of each repeat would take 385 MB
+    n = MAX_DIMENSION
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    text = json.dumps({
+        "name": "repeated_identity",
+        "dimension": n,
+        "conductor": MAX_CONDUCTOR,
+        "symplectic_form": "standard",
+        "generators": [identity] * MAX_GENERATORS,
+    })
+    tracemalloc.start()
+    try:
+        group = make_group(parse_group_spec(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order == 1
+    assert peak < 100 * 2**20
 
 
 def test_parse_error_on_bad_json():
