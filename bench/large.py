@@ -15,8 +15,8 @@ also given as a multiple of it, because the host's speed changes by up
 to 1.8x.  The case's stdout goes to a file, and its sha256 is checked
 against the reference hashes below.
 
-A second process per case times `build_lattice` alone: it parses the
-spec, closes the group, then times the lattice in process.
+A second process per case parses the spec, then times the closure
+(`make_group`) and `build_lattice` in process, each alone.
 
 The --src tree is put first on PYTHONPATH, so one checkout's runner can
 measure another checkout's `src/`.
@@ -70,15 +70,18 @@ print(json.dumps({"wall_s": wall, "exit_code": os.waitstatus_to_exitcode(status)
                   "cpu_s": usage.ru_utime + usage.ru_stime}))
 """
 
-# Times build_lattice on a spec in process.
+# Times make_group and build_lattice on a parsed spec in process.
 LATTICE = """\
 import json, sys, time
 from sympref.specio import make_group, parse_group_spec
 from sympref.stratification import build_lattice
-group = make_group(parse_group_spec(open(sys.argv[1]).read()), 100000)
+spec = parse_group_spec(open(sys.argv[1]).read())
 start = time.perf_counter()
+group = make_group(spec, 100000)
+closed = time.perf_counter()
 lattice = build_lattice(group)
-print(json.dumps({"lattice_s": time.perf_counter() - start, "order": group.order,
+print(json.dumps({"closure_s": closed - start,
+                  "lattice_s": time.perf_counter() - closed, "order": group.order,
                   "strata": len(lattice.strata), "orbits": len(lattice.orbits)}))
 """
 
@@ -128,6 +131,7 @@ def run_case(name, env, workdir, ref_code) -> dict:
         "peak_rss_mb": round(cli["peak_rss_mb"], 1),
         "sha256": sha,
         "sha256_ok": sha == REFERENCE[name],
+        "closure_s": round(lattice_out["closure_s"], 3),
         "lattice_s": round(lattice_out["lattice_s"], 3),
         "lattice_ref_s": round(ref2["wall_s"], 4),
         "lattice_rel": round(lattice_out["lattice_s"] / ref2["wall_s"], 2),
@@ -154,9 +158,11 @@ def main(argv=None) -> int:
             results.append(run_case(name, env, workdir, ref_code))
             r = results[-1]
             print(
-                "%-31s %6.2f s  %7.1f ref  %6.1f MB  lattice %7.3f s  %s"
+                "%-31s %6.2f s  %7.1f ref  %6.1f MB  closure %6.3f s  "
+                "lattice %7.3f s  %s"
                 % (name, r["wall_s"], r["wall_rel"], r["peak_rss_mb"],
-                   r["lattice_s"], "sha256 ok" if r["sha256_ok"] else "SHA256 DIFFERS"),
+                   r["closure_s"], r["lattice_s"],
+                   "sha256 ok" if r["sha256_ok"] else "SHA256 DIFFERS"),
                 flush=True,
             )
     summary = {

@@ -1,28 +1,30 @@
 """Finite matrix groups over a cyclotomic field.
 
 A group is enumerated once, by breadth-first closure of the identity
-under right multiplication by the generators, and then frozen: elements
-live in a fixed canonical order, with the identity at index 0 and the
-rest sorted by their coefficient keys.  The closure runs on Omega, the
-orbit of the identity's rows under v -> v g.  An element is the tuple
-of its rows' positions in Omega, so x g is one lookup per row; each row
-image v g is a vector-matrix product, made the first time it is needed.
-A group keeps only what the closure made: Omega's points, each
-element's row tuple, its trace, and the closure's products as the
-regular representation (a permutation table per generator, a Schreier
-word per element).  A product of elements is a table walk, an inverse
-a walk along the element's powers; an element's matrix is stacked from
-its rows when asked for, and a matrix is found by its rows in Omega.
-Each element's fixed-space dimension is read off the traces once per
-cyclic subgroup, into a table built the first time it is asked for.
-A subgroup carries its group and the int mask of its element indices,
-so a question about a subgroup takes the subgroup alone.  Everything
-downstream works with element indices, which is what makes reports
-deterministic; `index_of` is the one way from a matrix to its index.
-Each new element's trace, the sum of its rows' diagonal entries, is
-checked against bounds every element of finite order meets, so that
-most infinite groups stop at their first element of infinite order
-instead of at the order bound.
+under right multiplication by the generators, and then frozen: an
+element's index is where the walk met it, so the identity is element 0
+and the distinct generators other than it come next, in the order they
+were given.  The closure runs on Omega, the orbit of the identity's rows
+under v -> v g.  An element is the tuple of its rows' positions in
+Omega, so x g is one lookup per row; each row image v g is a
+vector-matrix product, made the first time it is needed.  A group keeps
+only what the closure made: Omega's points, each element's row tuple,
+its trace, and the closure's products as the regular representation (a
+permutation table per generator, a Schreier word per element).  A
+product of elements is a table walk, an inverse a walk along the
+element's powers; an element's matrix is stacked from its rows when
+asked for, and a matrix is found by its rows in Omega.  Each element's
+fixed-space dimension is read off the traces once per cyclic subgroup,
+into a table built the first time it is asked for.  A subgroup carries
+its group and the int mask of its element indices, so a question about
+a subgroup takes the subgroup alone.  Everything downstream works with
+element indices; no verdict, report, stratum index or emitted spec
+depends on how the elements are numbered, only on which elements there
+are.  `index_of` is the one way from a matrix to its index.  Each new
+element's trace, the sum of its rows' diagonal entries, is checked
+against bounds every element of finite order meets, so that most
+infinite groups stop at their first element of infinite order instead
+of at the order bound.
 """
 
 from __future__ import annotations
@@ -131,8 +133,9 @@ class FiniteMatrixGroup:
     1 x n matrices, and where maps a row's key to its position; rows[i]
     is the tuple of the positions in Omega of element i's rows.  tables
     are those of _closure and words[i] is the path to element i in its
-    Schreier tree, both renumbered to the canonical order; traces[i] is
-    the trace of element i.
+    Schreier tree; element i is the i-th the closure met, so element 0
+    is the identity and elements 1..k are the k distinct generators
+    other than it.  traces[i] is the trace of element i.
     """
 
     __slots__ = (
@@ -230,27 +233,24 @@ class FiniteMatrixGroup:
         words = [()]
         for p, k in parents[1:]:
             words.append(words[p] + (k,))
-        # canonical order: the identity, then by key; a matrix key is its
-        # rows' keys in turn
-        order = [0] + sorted(
-            range(1, len(found)), key=lambda i: [points[a].key() for a in found[i]]
-        )
-        renumber = sorted(range(len(order)), key=order.__getitem__)  # inverse
         return cls(
-            n, conductor, omega, gens, points, where,
-            [found[i] for i in order],
-            [[renumber[t[i]] for i in order] for t in tables],
-            [words[i] for i in order],
-            [traces[found[i]] for i in order],
+            n, conductor, omega, gens, points, where, found, tables, words,
+            [traces[x] for x in found],
         )
 
     @property
     def order(self) -> int:
         return len(self._rows)
 
+    def _checked_index(self, index: int) -> int:
+        if not 0 <= index < len(self._rows):
+            raise NotAMember("element index out of range")
+        return index
+
     def element(self, index: int) -> ExactMatrix:
         """The matrix of element index, stacked from its rows."""
-        return ExactMatrix.stack([self._points[a] for a in self._rows[index]])
+        rows = self._rows[self._checked_index(index)]
+        return ExactMatrix.stack([self._points[a] for a in rows])
 
     @property
     def elements(self) -> tuple[ExactMatrix, ...]:
@@ -271,7 +271,7 @@ class FiniteMatrixGroup:
 
     def word(self, i: int) -> tuple[int, ...]:
         """The generator positions whose product, in turn, is element i."""
-        return self._words[i]
+        return self._words[self._checked_index(i)]
 
     def product_index(self, i: int, j: int) -> int:
         for k in self._words[j]:
@@ -411,10 +411,8 @@ def _members(mask: int) -> tuple[int, ...]:
 def powers(group: FiniteMatrixGroup, index: int) -> tuple[int, ...]:
     """Indices of g^0, g^1, ..., g^(n-1) for the element g of the given
     index, of order n."""
-    if not 0 <= index < group.order:
-        raise NotAMember("element index out of range")
     out = [0]
-    cur = index
+    cur = group._checked_index(index)
     while cur != 0:
         out.append(cur)
         cur = group.product_index(cur, index)

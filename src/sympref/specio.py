@@ -98,7 +98,18 @@ def _parse_rational(value, path):
     _fail(path, "expected a rational, got %s" % type(value).__name__)
 
 
-def _parse_scalar(value, conductor, path) -> CyclotomicNumber:
+def _parse_scalar(value, conductor, path, scalars) -> CyclotomicNumber:
+    """An exact scalar at the document conductor.  An int or string
+    scalar is parsed once per document: scalars maps each one already
+    parsed to its number, which every repeat shares.  A bool is no int
+    here, so true never aliases 1, and a value that fails is not stored."""
+    if type(value) in (int, str):
+        number = scalars.get(value)
+        if number is None:
+            number = scalars[value] = CyclotomicNumber.rational(
+                _parse_rational(value, path), conductor
+            )
+        return number
     if isinstance(value, dict):
         refuse_unknown_keys(
             value, ("conductor", "coeffs"), ValidationError, path + ": "
@@ -131,7 +142,7 @@ def _parse_scalar(value, conductor, path) -> CyclotomicNumber:
     )
 
 
-def _parse_matrix(value, dimension, conductor, path) -> ExactMatrix:
+def _parse_matrix(value, dimension, conductor, path, scalars) -> ExactMatrix:
     if not isinstance(value, list) or len(value) != dimension:
         _fail(path, "expected a list of %d rows" % dimension)
     entries = []
@@ -139,7 +150,7 @@ def _parse_matrix(value, dimension, conductor, path) -> ExactMatrix:
         if not isinstance(row, list) or len(row) != dimension:
             _fail("%s[%d]" % (path, i), "expected %d entries" % dimension)
         entries += [
-            _parse_scalar(cell, conductor, "%s[%d][%d]" % (path, i, j))
+            _parse_scalar(cell, conductor, "%s[%d][%d]" % (path, i, j), scalars)
             for j, cell in enumerate(row)
         ]
     # every entry is already at the document conductor
@@ -181,20 +192,21 @@ def parse_group_spec(document) -> GroupSpecDocument:
             "%d is over the maximum %d" % (len(raw_gens), MAX_GENERATORS),
         )
 
+    scalars = {}  # shared by every matrix of the document
     form = document.get("symplectic_form")
     if form == "standard":
         if dimension % 2:
             _fail("symplectic_form", "standard form needs even dimension")
         form = standard_symplectic_form(dimension, conductor)
     elif form is not None:
-        form = _parse_matrix(form, dimension, conductor, "symplectic_form")
+        form = _parse_matrix(form, dimension, conductor, "symplectic_form", scalars)
         try:
             check_form(form)
         except BadForm as exc:
             _fail("symplectic_form", str(exc))
 
     generators = tuple(
-        _parse_matrix(g, dimension, conductor, "generators[%d]" % i)
+        _parse_matrix(g, dimension, conductor, "generators[%d]" % i, scalars)
         for i, g in enumerate(raw_gens)
     )
     return GroupSpecDocument(

@@ -122,12 +122,16 @@ def test_closure_multiplies_only_rows_by_generators(monkeypatch):
     assert stacks == []
 
 
-def test_canonical_order_ignores_generator_order():
+def test_generator_order_renumbers_the_same_elements():
+    # an element's index is where the walk met it: each walk meets its
+    # own first generator at index 1, and both close the same set
     a = perm_matrix([1, 0, 2])
     b = perm_matrix([0, 2, 1])
     g1 = FiniteMatrixGroup.closure(3, 1, None, [a, b])
     g2 = FiniteMatrixGroup.closure(3, 1, None, [b, a])
-    assert [m.key() for m in g1.elements] == [m.key() for m in g2.elements]
+    assert {m.key() for m in g1.elements} == {m.key() for m in g2.elements}
+    assert g1.element(1).key() == a.key()
+    assert g2.element(1).key() == b.key()
 
 
 def test_order_bound_exceeded():
@@ -336,6 +340,14 @@ def test_element_matrices_are_built_from_rows_and_found_again(name):
     assert [g.index_of(g.element(i)) for i in range(g.order)] == list(range(g.order))
 
 
+@pytest.mark.parametrize("index", [-1, 6, 7, -7])
+def test_an_index_outside_the_group_is_not_a_member(index):
+    g = build_entry("symmetric_n3")
+    for read in (g.element, g.word, lambda i: powers(g, i)):
+        with pytest.raises(NotAMember, match="element index out of range"):
+            read(index)
+
+
 def test_powers_are_the_cyclic_subgroup():
     g = quaternion_group()
     for i in range(g.order):
@@ -514,21 +526,27 @@ def test_orbits_match_a_brute_force_partition(case):
 
 
 def group_digest(group):
-    """A short hash of a group's element keys in order, its traces, and
-    the product of every element with every generator, by index."""
-    gens = group.generator_indices()
-    products = [[group.product_index(i, j) for j in gens] for i in range(group.order)]
+    """A short hash of a group's element keys, its traces, and the
+    product of every element with every generator, by index in the key
+    order: the identity first, then the other elements sorted by key.
+    The closure numbers elements in the order its walk met them; the
+    digest renumbers them here, so that it does not depend on that
+    numbering and the pinned values below still apply."""
+    keys = [m.key() for m in group.elements]
+    order = [0] + sorted(range(1, group.order), key=keys.__getitem__)
+    rank = {x: r for r, x in enumerate(order)}
+    walked = group.generator_indices()
     return hashlib.sha256(repr((
-        [m.key() for m in group.elements],
-        [t.key() for t in group.traces],
-        gens,
-        products,
+        [keys[i] for i in order],
+        [group.traces[i].key() for i in order],
+        tuple(rank[j] for j in walked),
+        [[rank[group.product_index(i, j)] for j in walked] for i in order],
     )).encode()).hexdigest()[:16]
 
 
 # recorded from the closure that multiplied whole matrices: a change to
-# how a group is built must give the same elements in the same order,
-# the same traces and the same products
+# how a group is built must give the same elements, the same traces and
+# the same products, whatever order it numbers them in
 PINNED_DIGESTS = {
     "symmetric_n2": "3de3dac8aec3cc0a",
     "symmetric_n3": "7334ea352492d392",
@@ -619,5 +637,10 @@ def test_closure_matches_brute_force_on_monomial_groups(case):
     keys = [m.key() for m in g.elements]
     assert set(keys) == brute_force_closure(n, conductor, gens)
     assert is_identity(g.elements[0])
-    assert keys[1:] == sorted(keys[1:])
+    # walk order: the distinct generators first, then no element has a
+    # shorter word than one met before it
+    k = len(g.generator_indices())
+    assert g.generator_indices() == tuple(range(1, k + 1))
+    lengths = [len(g.word(i)) for i in range(g.order)]
+    assert lengths == sorted(lengths)
     assert list(g.traces) == [m.trace() for m in g.elements]

@@ -147,20 +147,25 @@ def test_standard_form_round_trips_as_the_string():
     assert json.loads(serialize_group_spec(doc))["symplectic_form"] == "standard"
 
 
-def test_repeated_generators_at_the_bounds_allocate_little():
-    # the largest dimension and conductor a spec may declare, with the
-    # identity given as every one of the 32 generators: about 100 KB of
-    # input and a trivial group, so parse and closure must stay small;
-    # a hashable key per coefficient of each repeat would take 385 MB
+def repeated_identity_text():
+    """The largest dimension and conductor a spec may declare, with the
+    identity given as every one of the 32 generators: about 100 KB of
+    input and a trivial group."""
     n = MAX_DIMENSION
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    text = json.dumps({
+    return json.dumps({
         "name": "repeated_identity",
         "dimension": n,
         "conductor": MAX_CONDUCTOR,
         "symplectic_form": "standard",
         "generators": [identity] * MAX_GENERATORS,
     })
+
+
+def test_repeated_generators_at_the_bounds_allocate_little():
+    # parse and closure must stay small; a hashable key per coefficient
+    # of each repeat would take 385 MB
+    text = repeated_identity_text()
     tracemalloc.start()
     try:
         group = make_group(parse_group_spec(text))
@@ -169,6 +174,21 @@ def test_repeated_generators_at_the_bounds_allocate_little():
         tracemalloc.stop()
     assert group.order == 1
     assert peak < 100 * 2**20
+
+
+def test_parsed_specs_share_their_repeated_scalars():
+    # each distinct int or string scalar is parsed once per document, so
+    # the 32 identities hold two numbers, not 32768 coefficient tuples
+    # of 160 slots each
+    text = repeated_identity_text()
+    tracemalloc.start()
+    try:
+        doc = parse_group_spec(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc.generators) == MAX_GENERATORS
+    assert held < 5 * 2**20
 
 
 def test_parse_error_on_bad_json():
@@ -194,6 +214,11 @@ def test_parse_error_on_bad_json():
         (lambda d: d["generators"][0][0].__setitem__(0, 1.5), "float"),
         (lambda d: d["generators"][0][0].__setitem__(0, "1.5"), "malformed"),
         (lambda d: d["generators"][0][0].__setitem__(0, True), "boolean"),
+        # a true after a parsed 1 is still refused: no shared scalar aliases it
+        (
+            lambda d: d["generators"].__setitem__(0, [[1, 0], [True, 1]]),
+            "generators[0][1][0]: booleans",
+        ),
         (
             lambda d: d["generators"][0][0].__setitem__(
                 0, {"conductor": 3, "coeffs": ["1", "0"]}
