@@ -12,8 +12,10 @@ first, loads `errors` and `jsonin` for every command, --help and usage
 errors included; `spectrum` adds `spectrum` and numpy.  `analyze`,
 `double` and `semismall` add the exact stack (`cyclotomic`, `linalg`,
 `groups`, `reflections`, `specio`), and `analyze --strata` and
-`semismall` add `stratification`.  `catalog` loads `catalog`, whose
-builders import the exact stack, `catalog list` included.
+`semismall` add `stratification`, home of the subspace algebra
+(`Subspace`), which the other commands never compile.  `catalog` loads
+`catalog`, whose builders import the exact stack, `catalog list`
+included.
 
 Inside the package, `_deferred(name)` defers a public function the
 same way, next to PEP 562's `__getattr__`, but looks it up in its home
@@ -32,9 +34,8 @@ _EXPORTS = {
     ),
     "linalg": (
         "BadForm", "DimensionMismatch", "ExactMatrix", "SingularMatrix",
-        "Subspace", "check_form", "fixed_space",
-        "form_restriction_nondegenerate", "is_symplectic", "pairing_form",
-        "standard_symplectic_form",
+        "check_form", "fixed_space", "form_restriction_nondegenerate",
+        "is_symplectic", "pairing_form", "standard_symplectic_form",
     ),
     "groups": (
         "DEFAULT_MAX_ORDER", "FiniteMatrixGroup", "NotAMember",
@@ -49,7 +50,7 @@ _EXPORTS = {
     ),
     "stratification": (
         "FiberDataError", "MissingFiberData", "SemismallReport",
-        "StratificationLattice", "Stratum", "build_lattice",
+        "StratificationLattice", "Stratum", "Subspace", "build_lattice",
         "parse_fiber_data", "semismall_check",
     ),
     "spectrum": ("ToleranceViolation", "pfaffian", "symplectic_eigenvalues"),

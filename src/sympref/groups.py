@@ -130,7 +130,8 @@ class FiniteMatrixGroup:
 
     omega is the preserved symplectic form, or None for a plain linear
     action (no form checked or stored).  points are Omega's rows, as
-    1 x n matrices, and where maps a row's key to its position; rows[i]
+    1 x n matrices, and where maps a row's tuple of coefficient tuples,
+    canonical at the group's conductor, to its position; rows[i]
     is the tuple of the positions in Omega of element i's rows.  tables
     are those of _closure and words[i] is the path to element i in its
     Schreier tree; element i is the i-th the closure met, so element 0
@@ -198,19 +199,21 @@ class FiniteMatrixGroup:
         n = dimension
         identity = ExactMatrix.identity(n, conductor)
         # the distinct generators other than the identity, compared by their
-        # coefficients (canonical at one conductor), so none caches a key
+        # coefficients (canonical at one conductor), as Omega's points are
         distinct = list({tuple(e.coeffs for e in m.entries): m
                          for m in [identity, *gens]}.values())[1:]
-        # points[a] is a 1 x n row of Omega, where[key] its position, and
-        # moves[k][a] the position of points[a] * distinct[k]
+        # points[a] is a 1 x n row of Omega, where[coefficients] its
+        # position, and moves[k][a] the position of points[a] * distinct[k]
         points = [ExactMatrix(1, n, conductor, identity.row(i)) for i in range(n)]
-        where = {p.key(): a for a, p in enumerate(points)}
+        where = {tuple(e.coeffs for e in p.entries): a for a, p in enumerate(points)}
         moves = [{} for _ in distinct]
 
         def move(a, k):
             # the first time points[a] meets distinct[k]
             v = points[a] * distinct[k]
-            b = moves[k][a] = where.setdefault(v.key(), len(points))
+            b = moves[k][a] = where.setdefault(
+                tuple(e.coeffs for e in v.entries), len(points)
+            )
             if b == len(points):
                 points.append(v)
             return b
@@ -261,11 +264,11 @@ class FiniteMatrixGroup:
         if mat.rows != self.dimension or mat.cols != self.dimension:
             raise NotAMember("matrix has the wrong shape for this group")
         _same_conductor(mat.conductor, self.conductor)
-        n, key = self.dimension, mat.key()
         try:
-            return self._position[
-                tuple(self._where[key[i * n : (i + 1) * n]] for i in range(n))
-            ]
+            return self._position[tuple(
+                self._where[tuple(e.coeffs for e in mat.row(i))]
+                for i in range(self.dimension)
+            )]
         except KeyError:
             raise NotAMember("matrix is not an element of this group") from None
 
@@ -293,7 +296,7 @@ class FiniteMatrixGroup:
         columns = ExactMatrix(
             len(vectors), n, self.conductor, [x for v in vectors for x in v]
         ).transpose()
-        images = {}  # per point of Omega, the keys of its products
+        images = {}  # per point of Omega, its products' coefficients
         for i in range(n):
             new = [
                 a for a in dict.fromkeys(self._rows[y][i] for y in candidates)
@@ -302,8 +305,8 @@ class FiniteMatrixGroup:
             if new:
                 product = ExactMatrix.stack([self._points[a] for a in new]) * columns
                 for r, a in enumerate(new):
-                    images[a] = tuple(x.key() for x in product.row(r))
-            target = tuple(v[i].key() for v in vectors)
+                    images[a] = tuple(x.coeffs for x in product.row(r))
+            target = tuple(v[i].coeffs for v in vectors)
             candidates = [y for y in candidates if images[self._rows[y][i]] == target]
         return candidates
 

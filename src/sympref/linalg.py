@@ -2,22 +2,28 @@
 
 Matrices are dense and immutable, with entries in a single Q(zeta_m).
 Conductors are reconciled in one place, parsing (`specio._parse_scalar`).
-Every matrix and subspace constructor takes a declared conductor: an
-int or a Fraction is lifted to it, and any other mixed operand raises
-`ConductorMismatch`, in groups too.  Matrices compare entrywise, across
-conductors as scalars do; subspaces of different conductors are unequal.
+Every matrix constructor takes a declared conductor: an int or a
+Fraction is lifted to it, and any other mixed operand raises
+`ConductorMismatch`, in groups and subspaces too.  Matrices compare
+entrywise, across conductors as scalars do.
 
 Elimination uses the first nonzero entry in a column as the pivot; over
 an exact field any nonzero pivot is as good as any other, and the fixed
-choice makes every reduced echelon form (and hence every Subspace)
-canonical: two subspaces are equal iff their stored bases are identical.
+choice makes every reduced echelon form canonical, and with it every
+kernel and fixed space.
 
-Derived operations reuse the core ones.  Every product, `apply` and
-meets included, goes through the one matrix product.  It walks the
-right factor's nonzero entries, kept with the matrix as its key and its
-rank are, adds each entry's products with the scalar kernel `_mul_add`
-and reduces the entry once.  A meet comes from the same residuals
-against an echelon basis as `join_dim`.
+Every product goes through the one matrix product.  It walks the right
+factor's nonzero entries, kept with the matrix as its rank is, adds each
+entry's products with the scalar kernel `_mul_add` and reduces the entry
+once.
+
+A kernel is a `Subspace`.  The subspace algebra (containment,
+`join_dim`, meets) lives in `stratification` with the lattice, its one
+user, so the commands that build no lattice never compile it; `kernel`
+imports the class when called.  The name stays reachable here through
+the module's `__getattr__` (PEP 562), because perfbench/layers.py wraps
+`linalg.Subspace.intersect` and `is_subspace_of` here to count meets and
+containment tests, and tests import it from here.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def _coerce_entry(value, conductor):
 class ExactMatrix:
     """Immutable matrix over Q(zeta_m), stored row-major."""
 
-    __slots__ = ("rows", "cols", "conductor", "entries", "_key", "_sparse", "_rank")
+    __slots__ = ("rows", "cols", "conductor", "entries", "_sparse", "_rank")
 
     def __init__(self, rows, cols, conductor, entries):
         self.rows = rows
@@ -60,7 +66,6 @@ class ExactMatrix:
             raise DimensionMismatch(
                 "expected %d entries, got %d" % (rows * cols, len(self.entries))
             )
-        self._key = None
         self._sparse = None
         self._rank = None
 
@@ -169,11 +174,6 @@ class ExactMatrix:
             [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
         )
 
-    def apply(self, vector) -> tuple:
-        """Matrix times a coordinate tuple."""
-        column = [_coerce_entry(v, self.conductor) for v in vector]
-        return (self * ExactMatrix(len(column), 1, self.conductor, column)).entries
-
     def trace(self) -> CyclotomicNumber:
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices have a trace")
@@ -221,14 +221,14 @@ class ExactMatrix:
             for r, p in enumerate(pivots):
                 vec[p] = -work[r][free]
             basis.append(vec)
+        from .stratification import Subspace
+
         return Subspace.from_spanning(n, basis, self.conductor)
 
     def key(self):
         """Canonical hashable key; total order on same-shape matrices
         at a common conductor."""
-        if self._key is None:
-            self._key = tuple(e.key() for e in self.entries)
-        return self._key
+        return tuple(e.key() for e in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -298,122 +298,12 @@ def _row_reduce(rows: list[list[CyclotomicNumber]]) -> list[int]:
     return pivots
 
 
-class Subspace:
-    """A linear subspace in canonical reduced-echelon form.
+def __getattr__(name):
+    if name == "Subspace":  # see the module docstring
+        from .stratification import Subspace
 
-    Equal subspaces have identical stored bases, so equality and
-    hashing are structural.
-    """
-
-    __slots__ = ("ambient_dim", "conductor", "basis", "_pivots")
-
-    def __init__(self, ambient_dim, conductor, basis, pivots):
-        self.ambient_dim = ambient_dim
-        self.conductor = conductor
-        self.basis = basis  # tuple of coordinate tuples, echelon rows
-        self._pivots = pivots
-
-    @classmethod
-    def from_spanning(cls, ambient_dim, vectors, conductor: int = 1) -> "Subspace":
-        if any(len(vec) != ambient_dim for vec in vectors):
-            raise DimensionMismatch("spanning vector of wrong length")
-        work = [
-            [_coerce_entry(v, conductor) for v in vec] for vec in vectors
-        ]
-        pivots = _row_reduce(work)
-        basis = tuple(tuple(work[i]) for i in range(len(pivots)))
-        return cls(ambient_dim, conductor, basis, tuple(pivots))
-
-    @classmethod
-    def full(cls, ambient_dim: int, conductor: int = 1) -> "Subspace":
-        ident = ExactMatrix.identity(ambient_dim, conductor)
-        return cls.from_spanning(
-            ambient_dim, ident.row_lists(), conductor
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def codim(self) -> int:
-        return self.ambient_dim - len(self.basis)
-
-    def _residual(self, vector) -> list:
-        """The vector minus its projection along the echelon rows: zero
-        exactly when the vector lies in the subspace."""
-        if len(vector) != self.ambient_dim:
-            raise DimensionMismatch("vector length mismatch")
-        residual = [_coerce_entry(v, self.conductor) for v in vector]
-        for row, p in zip(self.basis, self._pivots):
-            f = residual[p]
-            if f:
-                residual = [a - f * b for a, b in zip(residual, row)]
-        return residual
-
-    def contains_vector(self, vector) -> bool:
-        return not any(self._residual(vector))
-
-    def _same_ambient(self, other: "Subspace") -> int:
-        """The common conductor of two subspaces of one ambient space."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return _same_conductor(self.conductor, other.conductor)
-
-    def join_dim(self, other: "Subspace") -> int:
-        """dim(self + other): the rank of the smaller basis reduced
-        against the larger one's echelon rows, added to its dimension."""
-        self._same_ambient(other)
-        if self.dim < other.dim:
-            return other.join_dim(self)
-        residuals = [self._residual(vec) for vec in other.basis]
-        return self.dim + len(_row_reduce(residuals))
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        self._same_ambient(other)
-        if self.dim > other.dim:
-            return False
-        return all(other.contains_vector(vec) for vec in self.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """The residual map against other's echelon rows is linear with
-        kernel other, so the weights c with sum c_i s_i in other, over
-        self's basis s_i, are the kernel of the matrix whose columns are
-        the residuals of the s_i."""
-        m = self._same_ambient(other)
-        n = self.ambient_dim
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.from_spanning(n, [], m)
-        residuals = [x for vec in self.basis for x in other._residual(vec)]
-        weights = ExactMatrix(self.dim, n, m, residuals).transpose().kernel()
-        meet = ExactMatrix(
-            weights.dim, self.dim, m, [c for w in weights.basis for c in w]
-        ) * ExactMatrix(self.dim, n, m, [x for vec in self.basis for x in vec])
-        return Subspace.from_spanning(n, meet.row_lists(), m)
-
-    def basis_matrix(self) -> ExactMatrix:
-        """Basis vectors as the columns of an ambient_dim x dim matrix."""
-        return ExactMatrix(
-            self.dim, self.ambient_dim, self.conductor,
-            [x for vec in self.basis for x in vec],
-        ).transpose()
-
-    def key(self):
-        return (
-            self.ambient_dim,
-            tuple(tuple(v.key() for v in vec) for vec in self.basis),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.conductor, self.key()) == (other.conductor, other.key())
-
-    def __hash__(self):
-        return hash((self.conductor, self.key()))
-
-    def __repr__(self):
-        return "Subspace(dim %d of C^%d)" % (self.dim, self.ambient_dim)
+        return Subspace
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def fixed_space(g: ExactMatrix) -> Subspace:

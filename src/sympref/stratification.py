@@ -35,6 +35,12 @@ kept, and the lattice reports the orbits it walked.
 - Covers: those of each orbit's first member are the largest strata
   below it; g moves them to those of g S along the walk's tree.
 
+The subspace algebra, `Subspace`, lives here with the lattice, its one
+user, so that only the commands that build a lattice compile it.
+Containment and `join_dim` reduce vectors against an echelon basis, and
+a meet is the kernel of that residual map.  `ExactMatrix.kernel`
+imports the class when called, and `linalg.Subspace` still names it.
+
 Strata are ordered by ascending codimension, then by canonical
 subspace key, so stratum indices are stable and can be referenced from
 fiber-dimension data.
@@ -44,10 +50,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cyclotomic import BadInput
+from .cyclotomic import BadInput, _same_conductor
 from .groups import FiniteMatrixGroup, _closure, _grow, _mask, orbits
 from .jsonin import load_json, quote, refuse_unknown_keys
-from .linalg import ExactMatrix, Subspace, fixed_space
+from .linalg import (
+    DimensionMismatch, ExactMatrix, _coerce_entry, _row_reduce, fixed_space,
+)
 
 
 class FiberDataError(BadInput):
@@ -63,6 +71,125 @@ class MissingFiberData(BadInput):
             "missing fiber dimensions for strata %s"
             % ", ".join(str(i) for i in self.indices)
         )
+
+
+class Subspace:
+    """A linear subspace in canonical reduced-echelon form.
+
+    Equal subspaces have identical stored bases, so equality and
+    hashing are structural; subspaces of different conductors are
+    unequal.
+    """
+
+    __slots__ = ("ambient_dim", "conductor", "basis", "_pivots")
+
+    def __init__(self, ambient_dim, conductor, basis, pivots):
+        self.ambient_dim = ambient_dim
+        self.conductor = conductor
+        self.basis = basis  # tuple of coordinate tuples, echelon rows
+        self._pivots = pivots
+
+    @classmethod
+    def from_spanning(cls, ambient_dim, vectors, conductor: int = 1) -> "Subspace":
+        if any(len(vec) != ambient_dim for vec in vectors):
+            raise DimensionMismatch("spanning vector of wrong length")
+        work = [
+            [_coerce_entry(v, conductor) for v in vec] for vec in vectors
+        ]
+        pivots = _row_reduce(work)
+        basis = tuple(tuple(work[i]) for i in range(len(pivots)))
+        return cls(ambient_dim, conductor, basis, tuple(pivots))
+
+    @classmethod
+    def full(cls, ambient_dim: int, conductor: int = 1) -> "Subspace":
+        ident = ExactMatrix.identity(ambient_dim, conductor)
+        return cls.from_spanning(
+            ambient_dim, ident.row_lists(), conductor
+        )
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def codim(self) -> int:
+        return self.ambient_dim - len(self.basis)
+
+    def _residual(self, vector) -> list:
+        """The vector minus its projection along the echelon rows: zero
+        exactly when the vector lies in the subspace."""
+        if len(vector) != self.ambient_dim:
+            raise DimensionMismatch("vector length mismatch")
+        residual = [_coerce_entry(v, self.conductor) for v in vector]
+        for row, p in zip(self.basis, self._pivots):
+            f = residual[p]
+            if f:
+                residual = [a - f * b for a, b in zip(residual, row)]
+        return residual
+
+    def contains_vector(self, vector) -> bool:
+        return not any(self._residual(vector))
+
+    def _same_ambient(self, other: "Subspace") -> int:
+        """The common conductor of two subspaces of one ambient space."""
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionMismatch("ambient dimensions differ")
+        return _same_conductor(self.conductor, other.conductor)
+
+    def join_dim(self, other: "Subspace") -> int:
+        """dim(self + other): the rank of the smaller basis reduced
+        against the larger one's echelon rows, added to its dimension."""
+        self._same_ambient(other)
+        if self.dim < other.dim:
+            return other.join_dim(self)
+        residuals = [self._residual(vec) for vec in other.basis]
+        return self.dim + len(_row_reduce(residuals))
+
+    def is_subspace_of(self, other: "Subspace") -> bool:
+        self._same_ambient(other)
+        if self.dim > other.dim:
+            return False
+        return all(other.contains_vector(vec) for vec in self.basis)
+
+    def intersect(self, other: "Subspace") -> "Subspace":
+        """The residual map against other's echelon rows is linear with
+        kernel other, so the weights c with sum c_i s_i in other, over
+        self's basis s_i, are the kernel of the matrix whose columns are
+        the residuals of the s_i."""
+        m = self._same_ambient(other)
+        n = self.ambient_dim
+        if self.dim == 0 or other.dim == 0:
+            return Subspace.from_spanning(n, [], m)
+        residuals = [x for vec in self.basis for x in other._residual(vec)]
+        weights = ExactMatrix(self.dim, n, m, residuals).transpose().kernel()
+        meet = ExactMatrix(
+            weights.dim, self.dim, m, [c for w in weights.basis for c in w]
+        ) * ExactMatrix(self.dim, n, m, [x for vec in self.basis for x in vec])
+        return Subspace.from_spanning(n, meet.row_lists(), m)
+
+    def basis_matrix(self) -> ExactMatrix:
+        """Basis vectors as the columns of an ambient_dim x dim matrix."""
+        return ExactMatrix(
+            self.dim, self.ambient_dim, self.conductor,
+            [x for vec in self.basis for x in vec],
+        ).transpose()
+
+    def key(self):
+        return (
+            self.ambient_dim,
+            tuple(tuple(v.key() for v in vec) for vec in self.basis),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return (self.conductor, self.key()) == (other.conductor, other.key())
+
+    def __hash__(self):
+        return hash((self.conductor, self.key()))
+
+    def __repr__(self):
+        return "Subspace(dim %d of C^%d)" % (self.dim, self.ambient_dim)
 
 
 class Stratum(NamedTuple):

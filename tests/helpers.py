@@ -27,6 +27,12 @@ def is_identity(mat):
     return mat == ExactMatrix.identity(mat.rows, mat.conductor)
 
 
+def apply(mat, vector):
+    """mat times a coordinate tuple, as a tuple of its entries."""
+    column = ExactMatrix.from_rows([[v] for v in vector], mat.conductor)
+    return (mat * column).entries
+
+
 def is_member(group, mat):
     try:
         group.index_of(mat)

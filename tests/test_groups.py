@@ -340,6 +340,41 @@ def test_element_matrices_are_built_from_rows_and_found_again(name):
     assert [g.index_of(g.element(i)) for i in range(g.order)] == list(range(g.order))
 
 
+def test_membership_keys_are_canonical_coefficients():
+    # Omega's points are keyed by their entries' coefficient tuples,
+    # which are canonical at one conductor: an entry given as an
+    # unreduced Fraction is stored as the int it equals
+    g = build_entry("sl2_binary_octahedral")
+    assert g.conductor == 8
+    assert any(
+        isinstance(c, Fraction) for a in g.elements for e in a.entries for c in e.coeffs
+    )
+    assert [g.index_of(g.element(i)) for i in range(g.order)] == list(range(g.order))
+
+    def unreduced(e):
+        # an integral entry n as the Fraction 2n / 2, any other entry
+        # with each coefficient c given as 2c / 2
+        n = e.rational_value()
+        if n is not None and n.denominator == 1:
+            return Fraction(2 * n, 2)
+        return Cyc(8, [Fraction(2 * c, 2) for c in e.coeffs])
+
+    for i in range(g.order):
+        copy = ExactMatrix.from_rows(
+            [[unreduced(e) for e in row] for row in g.element(i).row_lists()], 8
+        )
+        assert g.index_of(copy) == i
+    one = ExactMatrix.identity(2, 8)
+    for outsider in (
+        one.scale(Fraction(1, 2)),
+        g.element(1).scale(2),
+        # both rows lie in Omega, but together they form no element
+        ExactMatrix.stack([ExactMatrix(1, 2, 8, one.row(0))] * 2),
+    ):
+        with pytest.raises(NotAMember):
+            g.index_of(outsider)
+
+
 @pytest.mark.parametrize("index", [-1, 6, 7, -7])
 def test_an_index_outside_the_group_is_not_a_member(index):
     g = build_entry("symmetric_n3")

@@ -5,11 +5,13 @@ work).  The catalog, and `dataclasses`, which its entries use, are for
 `catalog` alone: start-up dominates most commands, and `dataclasses`
 brings `inspect`, `ast`, `dis` and `tokenize` with it.  `stratification`
 is for the commands that build a lattice: `analyze --strata` and
-`semismall`.  `spectrum` itself is for `spectrum` alone, so the other
-commands do not compile it.  The exact stack (`cyclotomic`, `linalg`,
-`groups`, `reflections`, `specio`, and `fractions` with them) is for the
-commands that run it: `import sympref.cli`, `spectrum`, --help, usage
-errors and a spec file that cannot be read do not compile it."""
+`semismall`; the subspace algebra, `Subspace`, lives there, so the other
+commands do not compile it.  `spectrum` itself is for `spectrum` alone,
+so the other commands do not compile it.  The exact stack (`cyclotomic`,
+`linalg`, `groups`, `reflections`, `specio`, and `fractions` with them)
+is for the commands that run it: `import sympref.cli`, `spectrum`,
+--help, usage errors and a spec file that cannot be read do not compile
+it."""
 
 import ast
 import json
@@ -133,7 +135,14 @@ def reporting(*modules):
 
 
 LATTICE = "sympref.stratification"
-RUN_CLI_LATTICE = reporting(LATTICE)
+# also "Subspace" when linalg's namespace binds it: the class lives with
+# the lattice, `kernel` binds it in no module's namespace, and a
+# module-level `from .linalg import Subspace` would load the lattice
+RUN_CLI_LATTICE = RUN_CLI.replace(REPORT, (
+    "linalg = vars(sys.modules.get('sympref.linalg', sys)); "
+    "print(*[m for m in (%r,) if m in sys.modules], "
+    "*[n for n in ('Subspace',) if n in linalg])\n"
+) % LATTICE)
 
 
 @pytest.mark.parametrize(
@@ -151,7 +160,30 @@ RUN_CLI_LATTICE = reporting(LATTICE)
 def test_only_the_lattice_commands_load_stratification(tmp_path, argv, loads):
     write_inputs(tmp_path)
     assert RUN_CLI_LATTICE != RUN_CLI
-    assert (LATTICE in loaded_modules(RUN_CLI_LATTICE, *argv, cwd=tmp_path)) is loads
+    found = loaded_modules(RUN_CLI_LATTICE, *argv, cwd=tmp_path)
+    assert found == ({LATTICE} if loads else set())
+
+
+def test_subspace_is_one_class_under_every_name():
+    from sympref import linalg, stratification
+
+    assert linalg.Subspace is stratification.Subspace is sympref.Subspace
+    with pytest.raises(AttributeError, match="no_such_name"):
+        linalg.no_such_name
+
+
+def test_kernel_imports_subspace_when_called(tmp_path):
+    code = (
+        "import sys\n"
+        "from sympref.linalg import ExactMatrix\n"
+        "assert %r not in sys.modules\n"
+        "space = ExactMatrix.from_rows([[1, 1]]).kernel()\n"
+        "from sympref import linalg, stratification\n"
+        "assert type(space) is stratification.Subspace is linalg.Subspace\n"
+        "assert space.dim == 1\n"
+        "print('ok')\n"
+    ) % LATTICE
+    assert loaded_modules(code, cwd=tmp_path) == {"ok"}
 
 
 SPECTRUM = "sympref.spectrum"

@@ -19,9 +19,8 @@ HOMES = {
     ],
     "linalg": [
         "BadForm", "DimensionMismatch", "ExactMatrix", "SingularMatrix",
-        "Subspace", "check_form", "fixed_space",
-        "form_restriction_nondegenerate", "is_symplectic", "pairing_form",
-        "standard_symplectic_form",
+        "check_form", "fixed_space", "form_restriction_nondegenerate",
+        "is_symplectic", "pairing_form", "standard_symplectic_form",
     ],
     "groups": [
         "DEFAULT_MAX_ORDER", "FiniteMatrixGroup", "NotAMember",
@@ -36,7 +35,7 @@ HOMES = {
     ],
     "stratification": [
         "FiberDataError", "MissingFiberData", "SemismallReport",
-        "StratificationLattice", "Stratum", "build_lattice",
+        "StratificationLattice", "Stratum", "Subspace", "build_lattice",
         "parse_fiber_data", "semismall_check",
     ],
     "spectrum": ["ToleranceViolation", "pfaffian", "symplectic_eigenvalues"],

@@ -35,7 +35,7 @@ from sympref.stratification import (
     semismall_check,
 )
 
-from helpers import block_swap_group, diagonal, perm_matrix, s3_group
+from helpers import apply, block_swap_group, diagonal, perm_matrix, s3_group
 
 
 def test_block_swap_lattice():
@@ -173,7 +173,7 @@ def reference_lattice(group, spaces):
             for g in gens:
                 moved = Subspace.from_spanning(
                     group.dimension,
-                    [g.apply(v) for v in spaces[i].basis],
+                    [apply(g, v) for v in spaces[i].basis],
                     group.conductor,
                 )
                 if index[moved.key()] not in orbit:
@@ -237,7 +237,7 @@ def stratum_moves(group, lattice):
         [
             index[Subspace.from_spanning(
                 group.dimension,
-                [g.apply(v) for v in s.subspace.basis],
+                [apply(g, v) for v in s.subspace.basis],
                 group.conductor,
             ).key()]
             for s in lattice.strata
