@@ -6,8 +6,9 @@ element's index is where the walk met it, so the identity is element 0
 and the distinct generators other than it come next, in the order they
 were given.  The closure runs on Omega, the orbit of the identity's rows
 under v -> v g.  An element is the tuple of its rows' positions in
-Omega, so x g is one lookup per row; each row image v g is a
-vector-matrix product, made the first time it is needed.  A group keeps
+Omega, so x g is one lookup per row; each row image v g is made the
+first time it is needed, by an integer map on coordinate vectors (see
+FiniteMatrixGroup), with no matrix product.  A group keeps
 only what the closure made: Omega's points, each element's row tuple,
 its trace, and the closure's products as the regular representation (a
 permutation table per generator, a Schreier word per element).  A
@@ -21,17 +22,18 @@ a subgroup takes the subgroup alone.  Everything downstream works with
 element indices; no verdict, report, stratum index or emitted spec
 depends on how the elements are numbered, only on which elements there
 are.  `index_of` is the one way from a matrix to its index.  Each new
-element's trace, the sum of its rows' diagonal entries, is checked
-against bounds every element of finite order meets, so that most
-infinite groups stop at their first element of infinite order instead
-of at the order bound.
+element's trace, the sum of its rows' diagonal entries, is checked,
+once per distinct value, against bounds every element of finite order
+meets, so that most infinite groups stop at their first element of
+infinite order instead of at the order bound.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cyclotomic import CyclotomicNumber, InvariantViolation, _same_conductor
+from .cyclotomic import (CyclotomicNumber, InvariantViolation, _canon, _number,
+                         _quotient, _same_conductor, euler_phi)
 from .errors import DEFAULT_MAX_ORDER, BadInput, OrderBoundExceeded
 from .linalg import DimensionMismatch, ExactMatrix, check_form, is_symplectic
 
@@ -137,6 +139,13 @@ class FiniteMatrixGroup:
     Schreier tree; element i is the i-th the closure met, so element 0
     is the identity and elements 1..k are the k distinct generators
     other than it.  traces[i] is the trace of element i.
+
+    In the closure a point of Omega is its coordinate vector (coordinate
+    i phi + b the coefficient of z^b in entry i), as int numerators over
+    one positive denominator in lowest terms.  Generator g moves it by a
+    sparse integer map whose row i phi + b, z^b e_i g, is made the first
+    time a point has a nonzero coordinate there.  Each trace value met
+    is checked once.
     """
 
     __slots__ = (
@@ -202,33 +211,52 @@ class FiniteMatrixGroup:
         # coefficients (canonical at one conductor), as Omega's points are
         distinct = list({tuple(e.coeffs for e in m.entries): m
                          for m in [identity, *gens]}.values())[1:]
-        # points[a] is a 1 x n row of Omega, where[coefficients] its
-        # position, and moves[k][a] the position of points[a] * distinct[k]
-        points = [ExactMatrix(1, n, conductor, identity.row(i)) for i in range(n)]
-        where = {tuple(e.coeffs for e in p.entries): a for a, p in enumerate(points)}
-        moves = [{} for _ in distinct]
+        # vectors[a] is point a's numerators and denominator, seen their
+        # inverse and keys[a] its entries' coefficients; moves[k][a] is a's
+        # image under distinct[k], -1 until made; maps[k] holds its rows
+        phi = euler_phi(conductor)
+        keys = [tuple(e.coeffs for e in identity.row(i)) for i in range(n)]
+        vectors = [(sum(key, ()), 1) for key in keys]
+        seen = {v: a for a, v in enumerate(vectors)}
+        moves, maps = [[-1] * n for _ in distinct], [{} for _ in distinct]
+        scale = math.lcm(*[c.denominator for g in distinct for e in g.entries
+                           for c in e.coeffs])
 
-        def move(a, k):
-            # the first time points[a] meets distinct[k]
-            v = points[a] * distinct[k]
-            b = moves[k][a] = where.setdefault(
-                tuple(e.coeffs for e in v.entries), len(points)
-            )
-            if b == len(points):
-                points.append(v)
+        def image(a, k):
+            nums, den = vectors[a]
+            rows, g, acc = maps[k], distinct[k], [0] * len(nums)
+            for r, c in enumerate(nums):
+                if c:
+                    if r not in rows:  # z^b e_i g for r = i phi + b, times scale
+                        z = CyclotomicNumber.zeta(conductor, r % phi)
+                        row = [u for e in g.row(r // phi) for u in (z * e).coeffs]
+                        rows[r] = [(j, int(u * scale)) for j, u in enumerate(row) if u]
+                    for j, x in rows[r]:
+                        acc[j] += c * x
+            d = math.gcd(den * scale, *acc)
+            v = (tuple([x // d for x in acc]), den * scale // d)
+            b = moves[k][a] = seen.setdefault(v, len(vectors))
+            if b == len(vectors):
+                vectors.append(v)
+                flat = v[0] if v[1] == 1 else tuple([_quotient(x, v[1]) for x in v[0]])
+                keys.append(tuple(flat[j:j + phi] for j in range(0, len(flat), phi)))
+                for move in moves:
+                    move.append(-1)
             return b
 
         start = tuple(range(n))
         traces = {start: identity.trace()}
+        checked = {}  # each trace value met, checked once
 
         def multiply(x, k):
-            known = moves[k]
-            y = tuple([known[a] if a in known else move(a, k) for a in x])
+            y = tuple(map(moves[k].__getitem__, x))
+            if -1 in y:
+                y = tuple([b if b >= 0 else image(a, k) for a, b in zip(x, y)])
             if y not in traces:  # every element but the identity is met here
-                diagonal = [points[a].entries[i] for i, a in enumerate(y)]
-                traces[y] = _checked_trace(
-                    CyclotomicNumber.sum_of(diagonal, conductor), n, max_order
-                )
+                t = _canon(map(sum, zip(*[keys[a][i] for i, a in enumerate(y)])))
+                if t not in checked:
+                    checked[t] = _checked_trace(_number(conductor, t), n, max_order)
+                traces[y] = checked[t]
             return y
 
         found, tables, parents = _closure(start, range(len(moves)), multiply, max_order)
@@ -236,8 +264,11 @@ class FiniteMatrixGroup:
         words = [()]
         for p, k in parents[1:]:
             words.append(words[p] + (k,))
+        points = [ExactMatrix(1, n, conductor, [_number(conductor, c) for c in key])
+                  for key in keys]
         return cls(
-            n, conductor, omega, gens, points, where, found, tables, words,
+            n, conductor, omega, gens, points,
+            {key: a for a, key in enumerate(keys)}, found, tables, words,
             [traces[x] for x in found],
         )
 

@@ -12,10 +12,11 @@ an exact field any nonzero pivot is as good as any other, and the fixed
 choice makes every reduced echelon form canonical, and with it every
 kernel and fixed space.
 
-Every product goes through the one matrix product.  It walks the right
-factor's nonzero entries, kept with the matrix as its rank is, adds each
-entry's products with the scalar kernel `_mul_add` and reduces the entry
-once.
+Every matrix product goes through the one matrix product.  It walks the
+right factor's nonzero entries, kept with the matrix as its rank is,
+adds each entry's products with the scalar kernel `_mul_add` and reduces
+the entry once.  The group closure makes none: it moves rows as integer
+coordinate vectors (`groups.FiniteMatrixGroup`).
 
 A kernel is a `Subspace`.  The subspace algebra (containment,
 `join_dim`, meets) lives in `stratification` with the lattice, its one

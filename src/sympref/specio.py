@@ -65,7 +65,9 @@ class ValidationError(BadInput):
     """The document is JSON but not a valid group specification."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# matched whole (fullmatch) and in ASCII digits only: "\d" takes any Unicode
+# digit, which Fraction reads, and "$" passes a trailing newline
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 class GroupSpecDocument(NamedTuple):
@@ -89,7 +91,7 @@ def _parse_rational(value, path):
     if isinstance(value, float):
         _fail(path, "floats are not exact; use a rational string")
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             _fail(path, "malformed rational %s" % quote(value))
         try:
             return _exact(value)

@@ -33,6 +33,15 @@ def apply(mat, vector):
     return (mat * column).entries
 
 
+def transvection(v, c, omega):
+    """x -> x + c * omega(v, x) * v, symplectic for omega."""
+    n = len(v)
+    row = [sum(v[k] * omega.entry(k, j) for k in range(n)) for j in range(n)]
+    return ExactMatrix.identity(n, omega.conductor) + ExactMatrix.from_rows(
+        [[c * v[i] * row[j] for j in range(n)] for i in range(n)], omega.conductor
+    )
+
+
 def is_member(group, mat):
     try:
         group.index_of(mat)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sympref import groups
 from sympref.catalog import (
     CATALOG,
     build_entry,
@@ -38,7 +39,9 @@ from sympref.linalg import (
 )
 from sympref.specio import make_group, spec_from_group
 
-from helpers import is_identity, is_member, perm_matrix, quaternion_group, s3_group
+from helpers import (
+    is_identity, is_member, perm_matrix, quaternion_group, s3_group, transvection,
+)
 
 Cyc = CyclotomicNumber
 
@@ -100,12 +103,24 @@ def test_closure_matches_brute_force_oracle():
         assert {m.key() for m in g.elements} == expected
 
 
-def test_closure_multiplies_only_rows_by_generators(monkeypatch):
-    # S3 permutes the 3 basis rows: Omega has 3 points, each moved once
-    # by each of the 2 generators, and no element is multiplied out
-    # and no element's matrix is stacked from its rows
-    shapes, stacks = [], []
+def test_closure_moves_rows_without_matrix_products(monkeypatch):
+    # Omega's points move as integer coordinate vectors: no 1 x n row is
+    # multiplied as a matrix and no element's matrix is stacked from its
+    # rows.  Each row of a generator's map, z^b e_i g for coordinate
+    # i phi + b, costs one zeta when it is made; every generator moves
+    # every point, so making each row once takes one zeta per generator
+    # and per coordinate that some point of Omega has nonzero.  Each
+    # trace value met is checked once (the identity's is not checked)
+    i = Cyc.zeta(4)
+    cases = [
+        (6, 3, 1, None, [perm_matrix([1, 0, 2]), perm_matrix([0, 2, 1])]),
+        (8, 2, 4, standard_symplectic_form(2, 4),
+         [ExactMatrix.from_rows([[i, 0], [0, -i]], 4),
+          ExactMatrix.from_rows([[0, 1], [-1, 0]], 4)]),
+    ]
+    shapes, stacks, zetas, checks = [], [], [], []
     mul, stack = ExactMatrix.__mul__, ExactMatrix.stack.__func__
+    zeta, check = Cyc.zeta.__func__, groups._checked_trace
 
     def counted(a, b):
         shapes.append((a.rows, a.cols, b.rows, b.cols))
@@ -115,11 +130,71 @@ def test_closure_multiplies_only_rows_by_generators(monkeypatch):
         stacks.append(len(rows))
         return stack(cls, rows)
 
-    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
-    monkeypatch.setattr(ExactMatrix, "stack", classmethod(counted_stack))
-    assert s3_group().order == 6
-    assert shapes == [(1, 3, 3, 3)] * 6
-    assert stacks == []
+    def counted_zeta(cls, conductor, power=1):
+        zetas.append(power)
+        return zeta(cls, conductor, power)
+
+    def counted_check(t, n, bound):
+        checks.append(t)
+        return check(t, n, bound)
+
+    for order, n, conductor, omega, gens in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(ExactMatrix, "__mul__", counted)
+            patch.setattr(ExactMatrix, "stack", classmethod(counted_stack))
+            patch.setattr(Cyc, "zeta", classmethod(counted_zeta))
+            patch.setattr(groups, "_checked_trace", counted_check)
+            group = FiniteMatrixGroup.closure(n, conductor, omega, gens)
+        assert group.order == order
+        assert [s for s in shapes if s[0] == 1] == []
+        assert stacks == []
+        nonzero = {
+            j * len(e.coeffs) + b
+            for m in group.elements for i in range(n)
+            for j, e in enumerate(m.row(i)) for b, c in enumerate(e.coeffs) if c
+        }
+        assert len(zetas) == len(group.generator_indices()) * len(nonzero)
+        assert len(checks) == len(set(group.traces[1:]))
+        shapes.clear()
+        zetas.clear()
+        checks.clear()
+
+
+# a product of integer symplectic transvections per group, (v, c) each
+DENSE_BASES = {
+    "sl2_binary_octahedral": [((1, 2), 1), ((1, -1), -2), ((3, 1), 1)],
+    "weyl_a3_doubled": [
+        ((1, 0, 1, -1, 0, 2), 1), ((0, 1, -1, 0, 2, 1), -1), ((1, 1, 0, 0, -1, 0), 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_BASES))
+def test_closure_on_a_dense_basis_matches_brute_force(name):
+    # P G P^-1 for P a product of integer symplectic transvections is the
+    # same group in a dense basis; the binary octahedral group keeps its
+    # half-integer coefficients at conductor 8
+    group = build_entry(name)
+    n, conductor, omega = group.dimension, group.conductor, group.omega
+    p = ExactMatrix.identity(n, conductor)
+    for v, c in DENSE_BASES[name]:
+        p = p * transvection(v, c, omega)
+    p_inv = p.inverse()
+    gens = [p * g * p_inv for g in group.generators]
+    # no generator stays monomial
+    assert all(sum(map(bool, gen.entries)) > n for gen in gens)
+    if conductor == 8:
+        assert any(
+            c.denominator == 2 for g in gens for e in g.entries for c in e.coeffs
+        )
+    conjugated = FiniteMatrixGroup.closure(n, conductor, omega, gens)
+    assert conjugated.order == group.order
+    for x in range(conjugated.order):
+        m = conjugated.element(x)
+        assert conjugated.traces[x] == m.trace()
+        assert conjugated.index_of(m) == x
+    expected = brute_force_closure(n, conductor, gens)
+    assert {m.key() for m in conjugated.elements} == expected
 
 
 def test_generator_order_renumbers_the_same_elements():
@@ -163,6 +238,8 @@ def test_order_bound_exceeded():
         (5, [[[Cyc(5, [2, 0, 2, 2]), 1], [-1, 0]]], "Galois conjugate"),
         # SL(2, Z), generated by elements of orders 4 and 6
         (1, [[[0, -1], [1, 0]], [[0, -1], [1, 1]]], "the group is infinite"),
+        # diag(1/2, 2) again at conductor 8, where each entry has 4 coefficients
+        (8, [[[Fraction(1, 2), 0], [0, 2]]], "5/2, which is not an algebraic integer"),
     ],
 )
 def test_infinite_groups_fail_at_an_element_of_infinite_order(

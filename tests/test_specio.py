@@ -213,6 +213,15 @@ def test_parse_error_on_bad_json():
         (lambda d: d["generators"][0][0].append("0"), "generators[0][0]"),
         (lambda d: d["generators"][0][0].__setitem__(0, 1.5), "float"),
         (lambda d: d["generators"][0][0].__setitem__(0, "1.5"), "malformed"),
+        # a trailing newline and a digit outside ASCII (Arabic-Indic three)
+        (
+            lambda d: d["generators"][0][0].__setitem__(0, "1\n"),
+            "malformed rational '1\\n'",
+        ),
+        (
+            lambda d: d["generators"][0][0].__setitem__(0, "\u0663"),
+            "malformed rational '\u0663'",
+        ),
         (lambda d: d["generators"][0][0].__setitem__(0, True), "boolean"),
         # a true after a parsed 1 is still refused: no shared scalar aliases it
         (

@@ -35,7 +35,9 @@ from sympref.stratification import (
     semismall_check,
 )
 
-from helpers import apply, block_swap_group, diagonal, perm_matrix, s3_group
+from helpers import (
+    apply, block_swap_group, diagonal, perm_matrix, s3_group, transvection,
+)
 
 
 def test_block_swap_lattice():
@@ -441,15 +443,6 @@ def test_analysis_with_strata_sums_traces_once_per_cyclic_subgroup(monkeypatch):
     monkeypatch.setattr(CyclotomicNumber, "sum_of", classmethod(counted))
     analyze(group, with_strata=True)
     assert (group.order, sums["traces"]) == (48, len(cyclic))
-
-
-def transvection(v, c, omega):
-    """x -> x + c * omega(v, x) * v, symplectic for omega."""
-    n = len(v)
-    row = [sum(v[k] * omega.entry(k, j) for k in range(n)) for j in range(n)]
-    return ExactMatrix.identity(n, omega.conductor) + ExactMatrix.from_rows(
-        [[c * v[i] * row[j] for j in range(n)] for i in range(n)], omega.conductor
-    )
 
 
 def lattice_invariants(group):
