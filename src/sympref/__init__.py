@@ -4,12 +4,13 @@ The core question: given a finite group of exact matrices preserving a
 symplectic form, is it generated by its symplectic reflections?  When
 it is not, the symplectic quotient admits no symplectic resolution.
 Everything group-theoretic here is exact, over cyclotomic fields; only
-the 2-form spectrum module works in floating point.
+the 2-form spectrum module works in floating point, on Python floats.
 
 The names below load on first use (PEP 562), so `import sympref`
 loads no submodule.  The command line, which imports this package
 first, loads `errors` and `jsonin` for every command, --help and usage
-errors included; `spectrum` adds `spectrum` and numpy.  `analyze`,
+errors included; `spectrum` adds `spectrum`, and no command loads numpy
+or anything else outside the standard library.  `analyze`,
 `double` and `semismall` add the exact stack (`cyclotomic`, `linalg`,
 `groups`, `reflections`, `specio`), and `analyze --strata` and
 `semismall` add `stratification`, home of the subspace algebra

@@ -18,8 +18,8 @@ import sys
 
 from . import _deferred
 from .errors import (
-    DEFAULT_INPUT_TOL, DEFAULT_MAX_ORDER, DEFAULT_PAIR_TOL, BadInput,
-    OrderBoundExceeded,
+    DEFAULT_INPUT_TOL, DEFAULT_MAX_ORDER, DEFAULT_PAIR_TOL, MAX_DIMENSION,
+    BadInput, OrderBoundExceeded,
 )
 from .jsonin import load_json, refuse_unknown_keys
 
@@ -52,7 +52,7 @@ def _write_output(text, path) -> None:
             handle.write(text)
 
 
-# The exact stack, and `spectrum` with numpy, load on the first call of
+# The exact stack, and `spectrum`, load on the first call of
 # the command that runs them, so that no other command, --help or usage
 # error compiles them.  These names stay attributes of this module,
 # looked up by the handlers at each call, because they are the tracer's
@@ -112,7 +112,7 @@ def _cmd_semismall(args) -> int:
 
 def _cmd_double(args) -> int:
     text = _read_file(args.spec)
-    from .specio import MAX_DIMENSION, make_group, spec_from_group
+    from .specio import make_group, spec_from_group
 
     doc = parse_group_spec(text)
     if doc.symplectic_form is not None:
@@ -162,11 +162,6 @@ def _cmd_spectrum(args) -> int:
     if not isinstance(payload, dict) or "theta" not in payload:
         raise BadInput('spectrum input needs a "theta" matrix')
     refuse_unknown_keys(payload, ("theta", "metric"), BadInput)
-    # before numpy's first import, OpenBLAS gets one thread unless
-    # OPENBLAS_NUM_THREADS says otherwise: one small SVD never uses a
-    # thread pool, and starting one costs more than the SVD
-    if "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     values = symplectic_eigenvalues(
         payload["theta"],
         payload.get("metric"),

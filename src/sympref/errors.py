@@ -1,10 +1,15 @@
 """The two errors the command line maps to exit codes, the default
-bound on a group's order and the default tolerances of `spectrum`.
-This module imports nothing, so that the command line can catch the
-errors and show the defaults without loading the exact stack or numpy;
-`cyclotomic` re-exports BadInput and `groups` the other two."""
+bound on a group's order, the bound on a matrix's dimension and the
+default tolerances of `spectrum`.  This module imports nothing, so that
+the command line can catch the errors and show the defaults without
+loading the exact stack, and `spectrum` can bound its input without
+loading `specio`; `cyclotomic` re-exports BadInput, `groups` the other
+two and `specio` the dimension bound."""
 
 DEFAULT_MAX_ORDER = 100_000
+# the largest dimension of a group specification, of theta and of the
+# metric of `spectrum`, checked before any entry is read
+MAX_DIMENSION = 32
 DEFAULT_INPUT_TOL = 1e-12
 DEFAULT_PAIR_TOL = 1e-8
 

@@ -228,8 +228,11 @@ class FiniteMatrixGroup:
             for r, c in enumerate(nums):
                 if c:
                     if r not in rows:  # z^b e_i g for r = i phi + b, times scale
-                        z = CyclotomicNumber.zeta(conductor, r % phi)
-                        row = [u for e in g.row(r // phi) for u in (z * e).coeffs]
+                        entries = g.row(r // phi)
+                        if r % phi:  # at b = 0 the row is e_i g itself
+                            z = CyclotomicNumber.zeta(conductor, r % phi)
+                            entries = [z * e for e in entries]
+                        row = [u for e in entries for u in e.coeffs]
                         rows[r] = [(j, int(u * scale)) for j, u in enumerate(row) if u]
                     for j, x in rows[r]:
                         acc[j] += c * x

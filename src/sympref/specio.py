@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 from . import _deferred
 from .cyclotomic import BadInput, CyclotomicNumber, _exact, euler_phi
+from .errors import MAX_DIMENSION
 from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteMatrixGroup,
@@ -52,7 +53,7 @@ from .reflections import (
 # and every generator is parsed and rank-checked before closure drops
 # repeats; an irredundant generating set of a group of order at most
 # DEFAULT_MAX_ORDER has at most log2(DEFAULT_MAX_ORDER) < 17 elements.
-MAX_DIMENSION = 32
+# MAX_DIMENSION lives in `errors`, which `spectrum` shares.
 MAX_CONDUCTOR = 400
 MAX_GENERATORS = 32
 

@@ -277,7 +277,7 @@ def test_criterion_09_spectrum_statistics():
                     scale * theta, pair_tol=PAIR_TOL
                 )
                 assert np.allclose(
-                    scaled, abs(scale) * lams, rtol=SCALING_TOL, atol=0.0
+                    scaled, [abs(scale) * v for v in lams], rtol=SCALING_TOL, atol=0.0
                 )
         elapsed = time.monotonic() - start
         assert elapsed < SPECTRUM_LIMIT_S, "sweep took %.2f s" % elapsed

@@ -2,8 +2,8 @@
 
 Whatever a spectrum or analyze input file holds, `main()` returns an
 exit code from 0 to 3 without raising and says at most one line on
-stderr.  A numpy RuntimeWarning is turned into an error here: run from
-the shell it would print lines ahead of the message.
+stderr.  A RuntimeWarning is turned into an error here: run from the
+shell it would print lines ahead of the message.
 """
 
 import contextlib

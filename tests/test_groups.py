@@ -107,9 +107,10 @@ def test_closure_moves_rows_without_matrix_products(monkeypatch):
     # Omega's points move as integer coordinate vectors: no 1 x n row is
     # multiplied as a matrix and no element's matrix is stacked from its
     # rows.  Each row of a generator's map, z^b e_i g for coordinate
-    # i phi + b, costs one zeta when it is made; every generator moves
-    # every point, so making each row once takes one zeta per generator
-    # and per coordinate that some point of Omega has nonzero.  Each
+    # i phi + b, costs one zeta when it is made if b > 0, and none at
+    # b = 0, where it is e_i g; every generator moves every point, so
+    # making each row once takes one zeta per generator and per
+    # coordinate with b > 0 that some point of Omega has nonzero.  Each
     # trace value met is checked once (the identity's is not checked)
     i = Cyc.zeta(4)
     cases = [
@@ -149,11 +150,12 @@ def test_closure_moves_rows_without_matrix_products(monkeypatch):
         assert [s for s in shapes if s[0] == 1] == []
         assert stacks == []
         nonzero = {
-            j * len(e.coeffs) + b
+            (j, b)
             for m in group.elements for i in range(n)
             for j, e in enumerate(m.row(i)) for b, c in enumerate(e.coeffs) if c
         }
-        assert len(zetas) == len(group.generator_indices()) * len(nonzero)
+        assert 0 not in zetas
+        assert len(zetas) == len(group.generator_indices()) * sum(1 for _, b in nonzero if b)
         assert len(checks) == len(set(group.traces[1:]))
         shapes.clear()
         zetas.clear()

@@ -99,8 +99,8 @@ def test_eigenvalues_of_block_form_sorted_ascending():
 def test_scaling_homogeneity():
     theta = block_form([1.0, 4.0])
     base = symplectic_eigenvalues(theta)
-    assert symplectic_eigenvalues(-2.0 * theta) == pytest.approx(2.0 * base)
-    assert symplectic_eigenvalues(0.5 * theta) == pytest.approx(0.5 * base)
+    assert symplectic_eigenvalues(-2.0 * theta) == pytest.approx([2.0 * v for v in base])
+    assert symplectic_eigenvalues(0.5 * theta) == pytest.approx([0.5 * v for v in base])
 
 
 def test_metric_rescaling_frozen_value():
@@ -154,7 +154,7 @@ def test_tolerances_must_be_finite_and_nonnegative(name, value):
     with pytest.raises(BadInput, match="%s is" % name):
         symplectic_eigenvalues(np.array([[0.0, 2.0], [2.0, 0.0]]), **{name: value})
     # zero is a valid, exacting tolerance
-    assert symplectic_eigenvalues(block_form([2.0]), **{name: 0.0}).tolist() == [2.0]
+    assert symplectic_eigenvalues(block_form([2.0]), **{name: 0.0}) == (2.0,)
 
 
 def test_antisymmetry_tolerance_is_relative():
@@ -175,3 +175,59 @@ def test_pairing_tolerance_violation():
         symplectic_eigenvalues(theta, pair_tol=0.0)
     # and the default tolerance accepts the same input
     symplectic_eigenvalues(theta)
+
+
+def svd_oracle(theta, metric):
+    """The symplectic eigenvalues from numpy: theta in the frame of the
+    metric's Cholesky factor, then LAPACK's singular values, paired."""
+    frame = np.linalg.inv(np.linalg.cholesky(metric).conj().T)
+    singular = np.linalg.svd(frame.T @ theta @ frame, compute_uv=False)
+    return sorted((singular[0::2] + singular[1::2]) / 2), singular[0]
+
+
+def random_metric(rng, n):
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return b.conj().T @ b + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 32])
+def test_jacobi_agrees_with_numpy_svd(n):
+    rng = np.random.default_rng(59 + n)
+    for _ in range(2 if n == 32 else 5):
+        theta = random_antisymmetric(rng, n, complex_entries=True)
+        metric = random_metric(rng, n)
+        expected, top = svd_oracle(theta, metric)
+        got = symplectic_eigenvalues(theta, metric)
+        assert type(got) is tuple and len(got) == n // 2
+        assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-12 * top
+
+
+@pytest.mark.parametrize(
+    "lams",
+    [[0.0, 1e-9, 2.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0, 1.0], [1e-300, 1.0], [1e300, 1e-5]],
+)
+def test_degenerate_spectra_pass_the_default_pair_tolerance(lams):
+    # theta moved by a random frame S, with the metric S^H S that undoes it
+    rng = np.random.default_rng(61)
+    n = 2 * len(lams)
+    for _ in range(3):
+        s = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        theta, metric = s.T @ block_form(lams) @ s, s.conj().T @ s
+        expected, top = svd_oracle(theta, metric)
+        got = symplectic_eigenvalues(theta, metric)
+        assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-12 * top
+        assert max(abs(a - b) for a, b in zip(got, sorted(lams))) <= 1e-12 * top
+
+
+def test_graded_theta_converges():
+    # rows and columns scaled by up to 1e-300: the squared norms of the
+    # small columns underflow, and their inner products with the large
+    # ones must still count as settled
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        n = 2 * int(rng.integers(1, 5))
+        d = 10.0 ** -rng.choice([0, 0, 150, 170, 200, 300], n)
+        theta = d[:, None] * random_antisymmetric(rng, n, complex_entries=True) * d
+        expected, top = svd_oracle(theta, np.eye(n))
+        got = symplectic_eigenvalues(theta)
+        assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-12 * top
