@@ -10,7 +10,9 @@ The names below load on first use (PEP 562), so `import sympref`
 loads no submodule.  The command line, which imports this package
 first, loads `errors` and `jsonin` for every command, --help and usage
 errors included; `spectrum` adds `spectrum`, and no command loads numpy
-or anything else outside the standard library.  `analyze`,
+or anything else outside the standard library.  `argparse`, with
+`gettext` and `locale`, loads only for --help, usage errors and command
+lines outside the plain form (see `cli`).  `analyze`,
 `double` and `semismall` add the exact stack (`cyclotomic`, `linalg`,
 `groups`, `reflections`, `specio`), and `analyze --strata` and
 `semismall` add `stratification`, home of the subspace algebra

@@ -7,14 +7,22 @@ verdict, or a semismallness failure).  Bad input is a usage error, a
 file that cannot be read or decoded as UTF-8, or a BadInput, the one
 class every module's input errors derive from; main() catches nothing
 else.
+
+The grammar is one table, GRAMMAR.  main() reads a command line in the
+plain form from it directly: the command's words, its positionals, and
+options spelt in full, each value the next token.  argparse, with
+`gettext` and `locale`, loads only for --help, usage errors and command
+lines outside the plain form; build_parser() builds it from the same
+table, and its help, usage lines, messages and exit codes are the
+reference.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import sys
+import types
 
 from . import _deferred
 from .errors import (
@@ -27,16 +35,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_ORDER_BOUND = 2
 EXIT_NEGATIVE = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit with the bad-input
-    code, not argparse's 2, which here means the order bound; its
-    subparsers inherit the class."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
 def _read_file(path) -> str:
@@ -178,92 +176,147 @@ def _positive_int(text) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("%d is not a positive integer" % value)
-    return value
+        message = "invalid int value: %r" % text
+    else:
+        if value > 0:
+            return value
+        message = "%d is not a positive integer" % value
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
 
 
-def _add_max_order(parser) -> None:
-    parser.add_argument(
-        "--max-order",
-        type=_positive_int,
-        default=DEFAULT_MAX_ORDER,
-        metavar="N",
-        help="bound on the group order before giving up (default %d)"
-        % DEFAULT_MAX_ORDER,
-    )
+_MAX_ORDER = ("--max-order",), dict(
+    type=_positive_int, default=DEFAULT_MAX_ORDER, metavar="N",
+    help="bound on the group order before giving up (default %d)" % DEFAULT_MAX_ORDER,
+)
+
+# The command grammar, stated once.  A command's words map to its help
+# line, its handler and its arguments, each the names and keywords of
+# argparse's add_argument; a command of two words is a subcommand of its
+# first word, whose help is in GROUPS.  build_parser() hands the table
+# to argparse, and _read_plain() reads plain command lines from it.
+GRAMMAR = {
+    "analyze": ("decide whether symplectic reflections generate", _cmd_analyze, [
+        (("spec",), dict(help="group specification JSON file")),
+        (("--json",), dict(action="store_true", help="JSON report (default: text)")),
+        (("--strata",), dict(action="store_true", help="include the stratum orbits")),
+        _MAX_ORDER,
+    ]),
+    "semismall": ("check semismallness of supplied fiber dimensions", _cmd_semismall, [
+        (("spec",), dict(help="group specification JSON file")),
+        (("fibers",), dict(help="fiber dimension JSON file")),
+        _MAX_ORDER,
+    ]),
+    "double": ("double a linear action onto the dual pairing space", _cmd_double, [
+        (("spec",), dict(help="group specification JSON file (no form)")),
+        (("-o", "--output"), dict(help="write the doubled spec here")),
+        _MAX_ORDER,
+    ]),
+    "catalog list": ("list the catalog", _cmd_catalog, []),
+    "catalog emit": ("emit a catalog group as JSON", _cmd_catalog, [
+        (("name",), dict(help="catalog entry name")),
+        (("-o", "--output"), dict(help="write the emitted group file here")),
+    ]),
+    "spectrum": ("symplectic eigenvalues of an antisymmetric form", _cmd_spectrum, [
+        (("theta",), dict(help='JSON file {"theta": [[...]], "metric": optional}')),
+        (("--input-tol",), dict(
+            type=float, default=DEFAULT_INPUT_TOL,
+            help="relative symmetry tolerance (default %g)" % DEFAULT_INPUT_TOL,
+        )),
+        (("--pair-tol",), dict(
+            type=float, default=DEFAULT_PAIR_TOL,
+            help="relative pairing tolerance (default %g)" % DEFAULT_PAIR_TOL,
+        )),
+    ]),
+}
+GROUPS = {"catalog": "named example groups"}
 
 
-def build_parser() -> _Parser:
+def _read_plain(argv):
+    """The attributes build_parser().parse_args(argv) sets, if argv is
+    plain: a command's words, then its positionals and its options spelt
+    in full, in any order, each value the next token, converting and not
+    starting with "-".  None for any other argv, left to argparse: --help,
+    usage errors, abbreviations, --opt=value, "--" and "-3" among them."""
+    for command, (_, handler, arguments) in GRAMMAR.items():
+        words = command.split()
+        if argv[: len(words)] == words:
+            break
+    else:
+        return None
+    args = {"command": words[0], "handler": handler}
+    if len(words) == 2:
+        args[words[0] + "_command"] = words[1]
+    options, positionals, values = {}, [], []
+    for names, keywords in arguments:
+        if not names[0].startswith("-"):
+            positionals.append(names[0])
+            continue
+        dest = names[-1][2:].replace("-", "_")  # argparse's, from the long spelling
+        flag = keywords.get("action") == "store_true"
+        args[dest] = keywords.get("default", False if flag else None)
+        options.update(dict.fromkeys(names, (dest, flag, keywords.get("type"))))
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        if not token.startswith("-"):
+            values.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, flag, convert = options[token]
+        if flag:
+            args[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as an option
+        if value.startswith("-"):
+            return None
+        try:
+            args[dest] = value if convert is None else convert(value)
+        except Exception:  # a value its converter refuses: argparse reports it
+            return None
+    if len(values) != len(positionals):
+        return None
+    args.update(zip(positionals, values))
+    return types.SimpleNamespace(**args)
+
+
+def build_parser():
+    """The argparse parser of GRAMMAR.  Its usage errors exit with the
+    bad-input code, not argparse's 2, which here means the order bound;
+    the subparsers inherit its class."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
+
     parser = _Parser(
         prog="sympref",
-        description=(
-            "Exact reflection analysis of finite symplectic matrix groups"
-        ),
+        description="Exact reflection analysis of finite symplectic matrix groups",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "analyze", help="decide whether symplectic reflections generate"
-    )
-    p.add_argument("spec", help="group specification JSON file")
-    p.add_argument(
-        "--json", action="store_true", help="JSON report (default: text)"
-    )
-    p.add_argument(
-        "--strata", action="store_true", help="include the stratum orbits"
-    )
-    _add_max_order(p)
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser(
-        "semismall", help="check semismallness of supplied fiber dimensions"
-    )
-    p.add_argument("spec", help="group specification JSON file")
-    p.add_argument("fibers", help="fiber dimension JSON file")
-    _add_max_order(p)
-    p.set_defaults(handler=_cmd_semismall)
-
-    p = sub.add_parser(
-        "double", help="double a linear action onto the dual pairing space"
-    )
-    p.add_argument("spec", help="group specification JSON file (no form)")
-    p.add_argument("-o", "--output", help="write the doubled spec here")
-    _add_max_order(p)
-    p.set_defaults(handler=_cmd_double)
-
-    p = sub.add_parser("catalog", help="named example groups")
-    catalog_sub = p.add_subparsers(dest="catalog_command", required=True)
-    lp = catalog_sub.add_parser("list", help="list the catalog")
-    lp.set_defaults(handler=_cmd_catalog)
-    ep = catalog_sub.add_parser("emit", help="emit a catalog group as JSON")
-    ep.add_argument("name", help="catalog entry name")
-    ep.add_argument("-o", "--output", help="write the emitted group file here")
-    ep.set_defaults(handler=_cmd_catalog)
-
-    p = sub.add_parser(
-        "spectrum", help="symplectic eigenvalues of an antisymmetric form"
-    )
-    p.add_argument("theta", help='JSON file {"theta": [[...]], "metric": optional}')
-    p.add_argument(
-        "--input-tol",
-        type=float,
-        default=DEFAULT_INPUT_TOL,
-        help="relative symmetry tolerance (default %g)" % DEFAULT_INPUT_TOL,
-    )
-    p.add_argument(
-        "--pair-tol",
-        type=float,
-        default=DEFAULT_PAIR_TOL,
-        help="relative pairing tolerance (default %g)" % DEFAULT_PAIR_TOL,
-    )
-    p.set_defaults(handler=_cmd_spectrum)
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for command, (help_line, handler, arguments) in GRAMMAR.items():
+        words, sub = command.split(), commands
+        if len(words) == 2:
+            if words[0] not in groups:
+                group = commands.add_parser(words[0], help=GROUPS[words[0]])
+                groups[words[0]] = group.add_subparsers(
+                    dest=words[0] + "_command", required=True
+                )
+            sub = groups[words[0]]
+        p = sub.add_parser(words[-1], help=help_line)
+        for names, keywords in arguments:
+            p.add_argument(*names, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except OrderBoundExceeded as exc:

@@ -11,7 +11,9 @@ so the other commands do not compile it.  The exact stack (`cyclotomic`,
 `linalg`, `groups`, `reflections`, `specio`, and `fractions` with them)
 is for the commands that run it: `import sympref.cli`, `spectrum`,
 --help, usage errors and a spec file that cannot be read do not compile
-it."""
+it.  `argparse`, with `gettext` and `locale`, is for --help, usage
+errors and command lines outside the plain form alone: `import
+sympref.cli` and every plain command line do not load it."""
 
 import ast
 import json
@@ -240,12 +242,22 @@ EXACT_STACK = (
     "sympref.cyclotomic", "sympref.linalg", "sympref.groups",
     "sympref.reflections", "sympref.specio", "fractions",
 )
-RUN_CLI_EXACT = reporting(*EXACT_STACK)
+ARGPARSE = ("argparse", "gettext", "locale")
+RUN_CLI_EXACT = reporting(*EXACT_STACK, *ARGPARSE)
+# the command lines below that argparse reads: help and usage errors
+NOT_PLAIN = (["--help"], ["analyze", "--help"], ["frob"],
+             ["analyze", "--max-order", "0", "s2.json"])
 
 
 @pytest.mark.parametrize("module", ["sympref", "sympref.cli"])
 def test_import_does_not_load_the_exact_stack(tmp_path, module):
     code = "import sys, %s\n%s" % (module, report(EXACT_STACK))
+    assert loaded_modules(code, cwd=tmp_path) == set()
+
+
+@pytest.mark.parametrize("module", ["sympref", "sympref.cli"])
+def test_import_does_not_load_argparse(tmp_path, module):
+    code = "import sys, %s\n%s" % (module, report(ARGPARSE))
     assert loaded_modules(code, cwd=tmp_path) == set()
 
 
@@ -270,7 +282,8 @@ def test_import_does_not_load_the_exact_stack(tmp_path, module):
 def test_only_the_exact_commands_load_the_exact_stack(tmp_path, argv, returncode, loads):
     write_inputs(tmp_path)
     found = loaded_modules(RUN_CLI_EXACT, *argv, cwd=tmp_path, returncode=returncode)
-    assert found == (set(EXACT_STACK) if loads else set())
+    assert found - set(ARGPARSE) == (set(EXACT_STACK) if loads else set())
+    assert found & set(ARGPARSE) == (set(ARGPARSE) if argv in NOT_PLAIN else set())
 
 
 def test_every_module_sees_one_class_per_error(tmp_path):
