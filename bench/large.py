@@ -40,9 +40,11 @@ ROOT = HERE.parent
 SPECS = HERE / "specs"
 
 # sha256 of `analyze --json --strata` stdout, as made at 7ef1bd1 (the
-# F4, B5 and E6 hashes are also in ROADMAP.md) and, for the two planar
-# cases, at 2fc98c1; the report is fixed by the group alone, so every
-# later tree must give the same bytes
+# F4, B5 and E6 hashes are also in ROADMAP.md), for the two planar
+# cases at 2fc98c1, and at ced27a4 for E_9 (meet-heavy: 247 of its
+# strata are no element's fixed space) and doubled B6 (join-heavy: 2902
+# `join_dim` calls there); the report is fixed by the group alone, so
+# every later tree must give the same bytes
 REFERENCE = {
     "symmetric_on_planes_5": "d36305a6e0e7807b96f27550573179498e663b97af23c5c516f374e49e83102a",
     "weyl_f4_doubled": "48874440a82b0b63c83979154f5109edc1c18dec25a2418619177aa5e1978e17",
@@ -51,6 +53,8 @@ REFERENCE = {
     "weyl_e6_doubled": "b20a7ba55b5c440fd2eea385d4464745134598a37aed6417702432b0c51030e8",
     "sl2_binary_icosahedral_times_s5": "fa960ae19b6a2e100cab023f669edb4f2e2fade4c09d364513ffff1f60e90d8e",
     "sl2_binary_dihedral_3_wreath_s3": "d04924b1c0a00afb84ced0ff7710115b5d4f0bf61f134d56295bdcdb1e312c92",
+    "even_sign_changes_9": "7916aa68fca19213074b7f0dfeaeab3b49443da99db9e7dee7205806f6a794c4",
+    "weyl_b6_doubled": "a8547148e796611779340d820498400df588a04f5915f1889c070a487be4ff10",
 }
 E6 = "weyl_e6_doubled"
 

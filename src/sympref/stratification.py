@@ -8,12 +8,12 @@ so S lies in T exactly when K_T is a subset of K_S, the stabilizer
 order is a popcount, and g S has stabilizer g K_S g^-1: a mask names
 its stratum.
 
-The lattice is built by orbit-stabilizer bookkeeping (Holt, Eick and
-O'Brien, Handbook of Computational Group Theory, 2005, 4.1), so that
-elimination runs only where it can find something new.  Each orbit of
-strata is walked once, by the closure routine of `groups`, under
-conjugation by the generators; the walk's tables and Schreier tree are
-kept, and the lattice reports the orbits it walked.
+The lattice is built orbit by orbit (Holt, Eick and O'Brien, Handbook
+of Computational Group Theory, 2005, 4.1), so that elimination runs only
+where it can find something new.  Each orbit of strata is walked once,
+by the closure routine of `groups`, under conjugation by the generators;
+the walk's tables and Schreier tree are kept, and the lattice reports
+the orbits it walked.
 
 - Atoms, the element fixed spaces: one `fixed_space` per orbit of
   them, as g V^x = V^(g x g^-1).  Its mask is tested on the elements
@@ -21,17 +21,22 @@ kept, and the lattice reports the orbits it walked.
   dimensions, which the census reads too; the other atoms of its orbit
   are moved by the generator matrices, and found by an element they
   are the fixed space of.
-- Meets: every stratum is a meet of atoms (Orlik and Terao,
-  Arrangements of Hyperplanes, 1992), and (g S) ^ A = g (S ^ g^-1 A),
-  so only each orbit's first member S is met with the atoms, and only
-  with one atom per orbit of its setwise stabilizer, as S ^ hA = h (S ^ A)
-  for h fixing S.  The stabilizer comes from Schreier generators of
-  S's walk, taken until they generate a group of order |G| / |orbit|;
-  each moves the atoms along its own Schreier word in the group.
-  A pair is skipped when K_S | K_A is a known mask, or when a known
-  stratum in S (indexed by dimension) with a mask above K_S | K_A has
-  the dimension of S ^ A: the largest that dimension can be, or else
-  dim S + dim A - dim(S + A).  A new meet is intersected once.
+- Meets: in a finite lattice every element is the meet of the
+  meet-irreducible elements above it (Davey and Priestley, Introduction
+  to Lattices and Order, 2002, ch. 2).  A stratum that is no atom is the
+  meet of the atoms above it, so the meet-irreducible strata are atoms:
+  gamma.  Gamma is G-invariant and is decided one atom orbit at a time,
+  in ascending codimension.  An atom A is out of gamma when two atoms of
+  codimension codim A - step (2 for a symplectic group, else 1) lie
+  above it, by masks alone: their meet lies strictly between them and
+  A, with no codimension left but A's.  Otherwise A is out exactly when
+  the rows of y - 1 over the gamma atoms V^y above A have rank codim A.
+  Then, as (g S) ^ A = g (S ^ g^-1 A), only each orbit's first member S
+  is met, and only with the gamma atoms.  A pair is skipped when
+  K_S | K_A is a known mask, or when a known stratum in S (indexed by
+  dimension) with a mask above K_S | K_A has the dimension of S ^ A:
+  the largest that dimension can be, or else dim S + dim A - dim(S + A).
+  A new meet is intersected once.
 - Covers: those of each orbit's first member are the largest strata
   below it; g moves them to those of g S along the walk's tree.
 
@@ -51,7 +56,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cyclotomic import BadInput, _same_conductor
-from .groups import FiniteMatrixGroup, _closure, _grow, _mask, orbits
+from .groups import FiniteMatrixGroup, _closure, _mask
 from .jsonin import load_json, quote, refuse_unknown_keys
 from .linalg import (
     DimensionMismatch, ExactMatrix, _coerce_entry, _row_reduce, fixed_space,
@@ -283,15 +288,42 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
         if stratum_of[c] is None:
             space = fixed_space(group.element(c))
             walk(pointwise_stabilizer(space), space)
-    atoms = len(masks)
 
     # a stratum is the fixed space V^H of a subgroup; when H preserves a
     # symplectic form, V^H is symplectic, so its dimension is even
     step = 1 if group.omega is None else 2
-    # every stratum is a meet of atoms, and (g S) ^ A = g (S ^ g^-1 A),
-    # so each orbit's first member S is met with the atoms only, and
-    # with one atom per orbit of its setwise stabilizer, as
-    # S ^ hA = h (S ^ A) for h fixing S; walks grows while it is scanned
+    # gamma, the meet-irreducible atoms, one atom orbit at a time in
+    # ascending codimension: A is out when two atoms of codimension
+    # codim A - step lie above it, as their meet can only be A, or else
+    # when the rows of y - 1 over the gamma atoms V^y above A, whose
+    # common kernel is the meet of those atoms, have rank codim A.  An
+    # atom's rows are made once
+    by_codim = {}
+    for t in range(len(masks)):
+        by_codim.setdefault(spaces[t].codim, []).append(t)
+    rows, gamma = {}, []
+    for members, _, _ in sorted(walks, key=lambda w: spaces[w[0][0]].codim):
+        codim, k_a = spaces[members[0]].codim, masks[members[0]]
+        if not codim or sum(
+            masks[t] & k_a == masks[t] for t in by_codim.get(codim - step, ())
+        ) > 1:
+            continue
+        stacked = []
+        for t in gamma:
+            if masks[t] & k_a == masks[t]:
+                if t not in rows:
+                    y = group.element(owner[t])
+                    rows[t] = Subspace.from_spanning(n, (
+                        y - ExactMatrix.identity(n, conductor)
+                    ).row_lists(), conductor).basis
+                stacked.extend(rows[t])
+        if Subspace.from_spanning(n, stacked, conductor).dim < codim:
+            gamma.extend(members)
+
+    # every stratum is the meet of the gamma atoms above it, and
+    # (g S) ^ A = g (S ^ g^-1 A) with gamma G-invariant, so each orbit's
+    # first member S is met with the gamma atoms only; walks grows while
+    # it is scanned, so new meets are met in turn
     for orbit_walk in walks:
         first = orbit_walk[0][0]
         k_s, s = masks[first], spaces[first]
@@ -299,10 +331,9 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
         for t, m in enumerate(masks):
             if m != k_s and m & k_s == k_s:
                 below.setdefault(spaces[t].dim, []).append(m)
-        stabilizer = _stabilizer_moves(group, orbit_walk, act, atoms)
-        for orbit in orbits(atoms, stabilizer):
-            a = spaces[orbit[0]]
-            both = k_s | masks[orbit[0]]
+        for t in gamma:
+            a = spaces[t]
+            both = k_s | masks[t]
             if both in found:
                 continue
             # a known stratum with a mask above both lies in S ^ A; the
@@ -357,43 +388,6 @@ def build_lattice(group: FiniteMatrixGroup) -> StratificationLattice:
     return StratificationLattice(strata, tuple(sorted(
         tuple(sorted(index[t] for t in members)) for members, _, _ in walks
     )))
-
-
-def _stabilizer_moves(group, walk, act, atoms):
-    """Permutations of the atoms 0..atoms-1 that generate the action of
-    the setwise stabilizer of S, the first stratum of the walk.  They are
-    Schreier generators v_j g_k u_i, for u_i the element that the walk's
-    tree takes to its i-th stratum and v_i = u_i^-1, taken until they
-    generate a group of order |G| / |orbit of S|; act[k] is the move of
-    the strata by g_k, and each generator moves the atoms along its own
-    group word."""
-    members, tables, parents = walk
-    if len(members) == 1:
-        return [a[:atoms] for a in act]
-    gen_index = group.generator_indices()
-    gen_inverse = [group.inverse_index(g) for g in gen_index]
-    conjugations = group.conjugations()
-    # down the tree edge parents[i] = (p, k): u_i = g_k u_p, which is
-    # (g_k u_p g_k^-1) g_k, and v_i = v_p g_k^-1
-    u, v = [0], [0]
-    for p, k in parents[1:]:
-        u.append(group.product_index(conjugations[k][u[p]], gen_index[k]))
-        v.append(group.product_index(v[p], gen_inverse[k]))
-    schreier = (
-        group.product_index(group.product_index(v[table[i]], gen_index[k]), u[i])
-        for i in range(len(members))
-        for k, table in enumerate(tables)
-        if parents[table[i]] != (i, k)  # not an edge of the walk's tree
-    )
-    kept = _grow(group, schreier, group.order // len(members))[0]
-    perms = []
-    for x in kept:
-        perm = list(range(atoms))
-        # x = g_m0 g_m1 ... moves an atom by the last generator first
-        for m in reversed(group.word(x)):
-            perm = [act[m][t] for t in perm]
-        perms.append(perm)
-    return perms
 
 
 def parse_fiber_data(document) -> dict[int, int]:

@@ -106,6 +106,16 @@ def sl2_times_symmetric(gamma, n):
     return _with_plane_swaps(gamma, n, diagonal_gens)
 
 
+def even_sign_changes(k):
+    """E_k: the sign changes of an even number of k planes, order
+    2^(k-1), generated by the k - 1 negations of planes i and i + 1."""
+    gens = [
+        diagonal(*(-1 if p in (i, i + 1) else 1 for p in range(k) for _ in range(2)))
+        for i in range(k - 1)
+    ]
+    return FiniteMatrixGroup.closure(2 * k, 1, standard_symplectic_form(2 * k), gens)
+
+
 def sl2_wreath_symmetric(gamma, n):
     """Gamma wr S_n: Gamma acts on the first plane alone, S_n permutes
     the planes."""

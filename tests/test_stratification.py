@@ -36,7 +36,8 @@ from sympref.stratification import (
 )
 
 from helpers import (
-    apply, block_swap_group, diagonal, perm_matrix, s3_group, transvection,
+    apply, block_swap_group, diagonal, even_sign_changes, perm_matrix,
+    s3_group, transvection,
 )
 
 
@@ -263,6 +264,24 @@ def suborbit_pairs(group, lattice):
     return pairs
 
 
+def counted(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def count_meets(monkeypatch):
+    """A Counter of the Subspace.join_dim and Subspace.intersect calls
+    made from here on."""
+    calls = Counter()
+    for name in ("join_dim", "intersect"):
+        monkeypatch.setattr(
+            Subspace, name, counted(calls, name, getattr(Subspace, name))
+        )
+    return calls
+
+
 def test_lattice_eliminates_once_per_cyclic_subgroup_and_new_meet_orbit(
     monkeypatch,
 ):
@@ -270,21 +289,13 @@ def test_lattice_eliminates_once_per_cyclic_subgroup_and_new_meet_orbit(
     # V^(g x g^-1) = g V^x, and a stratum found once gives its whole
     # orbit, so build_lattice needs one fixed_space per orbit of distinct
     # element fixed spaces and one intersect per orbit of strata that are
-    # no element's fixed space; S ^ hA = h (S ^ A) for h fixing S, so it
-    # tests at most one meet per orbit of S's setwise stabilizer on the
-    # atoms, with at most one join_dim each
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(Subspace, "intersect", counted("intersect", Subspace.intersect))
-    monkeypatch.setattr(Subspace, "join_dim", counted("join_dim", Subspace.join_dim))
+    # no element's fixed space.  It meets each orbit's first member S with
+    # the meet-irreducible atoms only and settles most pairs by masks, so
+    # on these groups join_dim runs at most once per orbit of S's setwise
+    # stabilizer on the atoms
+    calls = count_meets(monkeypatch)
     monkeypatch.setattr(
-        stratification, "fixed_space", counted("fixed_space", fixed_space)
+        stratification, "fixed_space", counted(calls, "fixed_space", fixed_space)
     )
     builds = {e.name: e.build for e in SMALL_CATALOG}
     builds.update(meet_group=meet_group, meet_group_squared=meet_group_squared)
@@ -306,6 +317,43 @@ def test_lattice_eliminates_once_per_cyclic_subgroup_and_new_meet_orbit(
     assert {n: m for n, (_, m) in expected.items() if m} == {
         "meet_group": 1, "meet_group_squared": 5,
     }
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_even_sign_change_lattice_meets_its_closed_forms(monkeypatch, k):
+    # E_k negates an even set J of the k planes and fixes the others, so
+    # the strata are the coordinate subspaces missing j planes, j != 1:
+    # C(k, j) of codimension 2j, each its own orbit (E_k is abelian and
+    # keeps every coordinate subspace), with stabilizer order 2^(j-1).
+    # For odd j >= 3 no element's fixed space misses exactly those j
+    # planes, so each such stratum is intersected once
+    group = even_sign_changes(k)
+    calls = count_meets(monkeypatch)
+    lat = build_lattice(group)
+    assert group.order == 2 ** (k - 1)
+    assert len(lat.strata) == 2**k - k
+    planes = [s.codim // 2 for s in lat.strata]
+    assert Counter(planes) == {j: math.comb(k, j) for j in range(k + 1) if j != 1}
+    assert [s.stabilizer_order for s in lat.strata] == [
+        2 ** max(j - 1, 0) for j in planes
+    ]
+    assert lat.orbits == tuple((i,) for i in range(len(lat.strata)))
+    assert calls["intersect"] == sum(
+        math.comb(k, j) for j in range(3, k + 1, 2)
+    ) == {3: 1, 4: 4, 5: 11, 6: 26, 7: 57}[k]
+
+
+def test_even_sign_change_lattices_need_fewer_joins_than_a_loop_over_all_atoms(
+    monkeypatch,
+):
+    # E_k's meet-irreducible atoms are the fixed spaces of its C(k, 2)
+    # negations of two planes; meeting each stratum with every atom
+    # (each its own orbit under E_k) takes 61 + 431 + 2689 = 3181
+    # join_dim calls on k = 5, 6, 7
+    calls = count_meets(monkeypatch)
+    for k in (5, 6, 7):
+        build_lattice(even_sign_changes(k))
+    assert calls["join_dim"] < 3181
 
 
 def lattice_digest(lattice):
@@ -331,12 +379,17 @@ def lattice_digest(lattice):
                      "06b1fe1c1cb0a3cb", id="F4_doubled"),
     ],
 )
-def test_lattice_digests_are_pinned(build, strata, digest):
+def test_lattice_digests_are_pinned(monkeypatch, build, strata, digest):
     # recorded from an earlier build_lattice: a change to how the lattice
     # is built must give the same strata, in the same order, with the
-    # same relations
-    lattice = build_lattice(build())
+    # same relations.  Every stratum here is an element fixed space, and
+    # the meet-irreducible atoms are the reflection fixed spaces, whose
+    # meets the masks of known strata settle: no join_dim, no intersect
+    group = build()
+    calls = count_meets(monkeypatch)
+    lattice = build_lattice(group)
     assert (len(lattice.strata), lattice_digest(lattice)) == (strata, digest)
+    assert calls == {}
 
 
 def characteristic_polynomial(lattice):
